@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..cfg import Program
 from ..core.registry import ALIGNER_KEYS, TRY_MODEL_ARCHS, plan_algorithms
 from ..isa.encoder import LinkedProgram, link, link_identity
+from ..isa.layout import ProgramLayout
 from ..profiling import EdgeProfile, profile_program
 from ..sim.decisions import DecisionTrace, load_or_capture
 from ..sim.metrics import ALL_ARCHS, SimulationReport, simulate
@@ -106,6 +107,12 @@ class BenchmarkExperiment:
     #: skips[aligner_key][arch_name] -> structured reason the registry
     #: gave for not fielding that algorithm on that architecture.
     skips: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    #: layouts[variant_label] -> the aligned layout the run simulated, so
+    #: the oracle and prover judge the very binaries that were measured.
+    #: Not a result: left out of comparisons and serialised payloads.
+    layouts: Dict[str, ProgramLayout] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def cell(self, aligner: str, arch: str) -> ArchOutcome:
         """The outcome for one (aligner, architecture) table cell."""
@@ -251,6 +258,7 @@ def run_benchmark_experiment(
             continue
         for variant in plan.variants:
             layout = variant.aligner.align(program, align_profile)
+            experiment.layouts[variant.label] = layout
             linked = checked_link(layout)
             report = simulate(
                 linked,

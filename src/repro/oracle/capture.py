@@ -8,7 +8,8 @@ binary and an aligned binary with the same behaviour seed must yield
 *isomorphic* captures — identical block sequences and edge counts, with
 conditional outcomes differing only where the layout legitimately
 inverted a branch sense.  The oracle (:mod:`repro.oracle.oracle`)
-compares captures and explains any divergence.
+checks that isomorphism per step template of a decision trace, without
+materialising captures; full captures serve debugging and tests.
 """
 
 from __future__ import annotations
@@ -47,19 +48,25 @@ class TraceCapture:
         return len(self.blocks)
 
 
+def site_blocks(linked: LinkedProgram) -> Dict[int, BlockRef]:
+    """Branch-site address -> the block whose terminator or jump sits there."""
+    site_to_block: Dict[int, BlockRef] = {}
+    for proc_name, placed in linked.blocks.items():
+        for bid, lb in placed.items():
+            if lb.term_address is not None:
+                site_to_block[lb.term_address] = (proc_name, bid)
+            if lb.jump_address is not None:
+                site_to_block[lb.jump_address] = (proc_name, bid)
+    return site_to_block
+
+
 class _CaptureListener:
     """Event/block listener translating addresses back to block ids."""
 
     def __init__(self, linked: LinkedProgram, trail: bool = True):
         self.capture = TraceCapture()
         self.trail = trail
-        self.site_to_block: Dict[int, BlockRef] = {}
-        for proc_name, placed in linked.blocks.items():
-            for bid, lb in placed.items():
-                if lb.term_address is not None:
-                    self.site_to_block[lb.term_address] = (proc_name, bid)
-                if lb.jump_address is not None:
-                    self.site_to_block[lb.jump_address] = (proc_name, bid)
+        self.site_to_block = site_blocks(linked)
 
     def on_block(self, proc_name: str, bid: BlockId) -> None:
         self.capture.blocks.append((proc_name, bid))

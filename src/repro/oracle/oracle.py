@@ -14,7 +14,7 @@ binary and checking **trace isomorphism**:
   inversion for that branch;
 * **flow-conservation** — the edge traversal counts observed on the
   aligned binary equal the :class:`EdgeProfile` collected on the
-  original (the profile the aligner consumed);
+  original;
 * **address-replay** — the original trace's semantic decisions are
   replayed through the aligned *lowered instruction stream* (branch
   target addresses, fall-through adjacency, inserted jumps), verifying
@@ -25,6 +25,17 @@ binary and checking **trace isomorphism**:
   (inversions, inserted jumps, deleted branches) match the edits
   actually observed in the lowered code, and blocks it does not report
   are lowered identically.
+
+The checks run once per step template of the program's
+:class:`~repro.sim.decisions.DecisionTrace`, not once per dynamic event.
+A capture is the concatenation, over the layout-invariant step stream,
+of per-template pieces (entered block, conditional outcome, edge), so
+when every executed template's aligned piece agrees with its baseline
+piece the captures agree element for element; flow counts are sums of
+the trace's template counts, and a transfer's lowered destination is a
+function of its edge alone.  Only a failing layout (or a ``max_events``
+cut) pays for one walk over the step stream, which recovers each
+divergence's trace index.
 
 Divergences carry the first diverging trace index plus the expected and
 actual block, so a failure reads like a debugger backtrace, not a flag.
@@ -38,11 +49,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cfg import BlockId, Program, TerminatorKind
 from ..core.registry import TRY_MODEL_ARCHS, aligner_names, get_spec
 from ..isa.diff import diff_layouts
-from ..isa.encoder import INSTRUCTION_BYTES, LinkedProgram, link, link_identity
+from ..isa.encoder import LinkedProgram, link, link_identity
 from ..isa.instructions import Opcode
 from ..isa.layout import ProgramLayout
 from ..profiling.edge_profile import EdgeProfile
-from .capture import BlockRef, TraceCapture, capture_trace
+from ..sim.decisions import T_BRANCH, DecisionTrace, capture_decisions
+from ..sim.replay import compile_steps
+from ..sim.trace import COND
+from .capture import BlockRef, site_blocks
 
 #: Cap on divergences recorded per check — the first one is the story,
 #: the rest confirm it is systematic.
@@ -104,8 +118,6 @@ class _LoweredView:
         self.term_target: Dict[BlockRef, int] = {}
         #: (proc, bid) -> appended-jump target address.
         self.jump_target: Dict[BlockRef, int] = {}
-        #: (proc, bid) -> block has a terminator instruction at all.
-        self.has_terminator: Dict[BlockRef, bool] = {}
         self.start_of: Dict[BlockRef, int] = {}
         self.block_at: Dict[int, BlockRef] = {}
         #: Every block starting at an address.  A block lowered to zero
@@ -132,10 +144,8 @@ class _LoweredView:
             for bid, lb in linked.blocks[proc_name].items():
                 ref = (proc_name, bid)
                 term = branch_at.get(lb.term_address)
-                if term is not None:
-                    self.has_terminator[ref] = True
-                    if term.target is not None:
-                        self.term_target[ref] = term.target
+                if term is not None and term.target is not None:
+                    self.term_target[ref] = term.target
                 jump = branch_at.get(lb.jump_address)
                 if jump is not None and lb.jump_address is not None:
                     self.jump_target[ref] = jump.target
@@ -147,78 +157,60 @@ class _LoweredView:
 
 
 # ----------------------------------------------------------------------
-# Individual checks
+# Per-template pieces of a capture
 # ----------------------------------------------------------------------
-def _check_block_sequence(
-    baseline: TraceCapture, aligned: TraceCapture
+class _Image:
+    """One linked image's semantic capture, as per-template pieces.
+
+    Replaying a decision trace through an image emits, per step, the
+    piece its template compiles to.  The block a step enters and whether
+    it emits a conditional outcome (a conditional block's one branch)
+    depend on the template alone; the image decides the outcome
+    ``(block, taken)`` — read back through its site->block map, as
+    :func:`~repro.oracle.capture.capture_trace` does — and how many
+    events the step emits, which is where a ``max_events`` cut falls.
+    """
+
+    __slots__ = ("cond", "events", "total_events")
+
+    def __init__(self, linked: LinkedProgram, trace: DecisionTrace):
+        site_to_block = site_blocks(linked)
+        self.cond: List[Optional[Tuple[BlockRef, bool]]] = []
+        self.events: List[int] = []
+        for step in compile_steps(linked, trace):
+            outcome = None
+            for kind, site, _target, taken in step.events:
+                if kind == COND:
+                    outcome = (site_to_block[site], taken)
+            self.cond.append(outcome)
+            self.events.append(len(step.events))
+        self.total_events = sum(n * c for n, c in zip(self.events, trace.counts))
+
+
+def _sense(
+    expected: Tuple[BlockRef, bool], actual: Tuple[BlockRef, bool], inverted: set
+) -> Optional[Tuple[str, str, str]]:
+    """``(expected, actual, detail)`` if one aligned outcome is wrong."""
+    (ref0, taken0), (ref1, taken1) = expected, actual
+    if ref0 != ref1:
+        return _fmt_block(ref0), _fmt_block(ref1), "conditional executed out of order"
+    want = taken0 != (ref0 in inverted)
+    if taken1 != want:
+        return (
+            f"{_fmt_block(ref0)} taken={want}",
+            f"{_fmt_block(ref1)} taken={taken1}",
+            "outcome disagrees with registered sense inversion",
+        )
+    return None
+
+
+def _flow_divergences(
+    expected: Dict[Tuple[str, BlockId, BlockId], int],
+    observed: Dict[Tuple[str, BlockId, BlockId], int],
 ) -> List[Divergence]:
     out: List[Divergence] = []
-    for index, (expected, actual) in enumerate(zip(baseline.blocks, aligned.blocks)):
-        if expected != actual:
-            out.append(Divergence(
-                "block-sequence", index, _fmt_block(expected), _fmt_block(actual),
-            ))
-            if len(out) >= MAX_DIVERGENCES:
-                return out
-    if len(baseline.blocks) != len(aligned.blocks):
-        out.append(Divergence(
-            "block-sequence",
-            min(len(baseline.blocks), len(aligned.blocks)),
-            f"{len(baseline.blocks)} blocks",
-            f"{len(aligned.blocks)} blocks",
-            "trace lengths differ",
-        ))
-    return out
-
-
-def _check_branch_sense(
-    baseline: TraceCapture, aligned: TraceCapture, layout: ProgramLayout
-) -> List[Divergence]:
-    inverted = {
-        (name, bid)
-        for name in layout.program.order
-        for bid in layout[name].inverted_conditionals()
-    }
-    out: List[Divergence] = []
-    for index, ((ref0, taken0), (ref1, taken1)) in enumerate(
-        zip(baseline.cond_outcomes, aligned.cond_outcomes)
-    ):
-        if ref0 != ref1:
-            out.append(Divergence(
-                "branch-sense", index, _fmt_block(ref0), _fmt_block(ref1),
-                "conditional executed out of order",
-            ))
-        else:
-            expected = taken0 != (ref0 in inverted)
-            if taken1 != expected:
-                out.append(Divergence(
-                    "branch-sense", index,
-                    f"{_fmt_block(ref0)} taken={expected}",
-                    f"{_fmt_block(ref1)} taken={taken1}",
-                    "outcome disagrees with registered sense inversion",
-                ))
-        if len(out) >= MAX_DIVERGENCES:
-            return out
-    if len(baseline.cond_outcomes) != len(aligned.cond_outcomes):
-        out.append(Divergence(
-            "branch-sense", None,
-            f"{len(baseline.cond_outcomes)} conditional executions",
-            f"{len(aligned.cond_outcomes)} conditional executions",
-        ))
-    return out
-
-
-def _check_flow_conservation(
-    profile: EdgeProfile, aligned: TraceCapture
-) -> List[Divergence]:
-    expected: Dict[Tuple[str, BlockId, BlockId], int] = {}
-    for name in profile.procedures():
-        for (src, dst), count in profile.proc_edges(name).items():
-            if count:
-                expected[(name, src, dst)] = count
-    out: List[Divergence] = []
-    for key in sorted(set(expected) | set(aligned.edge_counts)):
-        want, got = expected.get(key, 0), aligned.edge_counts.get(key, 0)
+    for key in sorted(set(expected) | set(observed)):
+        want, got = expected.get(key, 0), observed.get(key, 0)
         if want != got:
             proc, src, dst = key
             out.append(Divergence(
@@ -226,56 +218,6 @@ def _check_flow_conservation(
                 f"{proc}:{src}->{dst} x{want}",
                 f"{proc}:{src}->{dst} x{got}",
                 "aligned edge counts disagree with the consumed profile",
-            ))
-            if len(out) >= MAX_DIVERGENCES:
-                break
-    return out
-
-
-def _check_address_replay(
-    program: Program, baseline: TraceCapture, lowered: _LoweredView
-) -> List[Divergence]:
-    """Replay the original trace's decisions through the aligned code.
-
-    For every intra-procedural transition ``src -> dst`` the original
-    binary performed, derive from the aligned *instruction stream* (not
-    the layout data structure) the address control actually transfers
-    to, and require it to be ``dst``'s address.
-    """
-    out: List[Divergence] = []
-    kinds = {
-        (proc.name, bid): proc.block(bid).kind
-        for proc in program
-        for bid in proc.blocks
-    }
-    linked = lowered.linked
-    for index, (proc_name, src, dst) in enumerate(baseline.edge_trail):
-        ref = (proc_name, src)
-        kind = kinds[ref]
-        if kind in (TerminatorKind.INDIRECT, TerminatorKind.RETURN):
-            continue  # targets are runtime values, not lowered addresses
-        lb = linked.block(proc_name, src)
-        dst_addr = lowered.start_of[(proc_name, dst)]
-        if kind is TerminatorKind.COND:
-            branch_target = lowered.term_target.get(ref)
-            if branch_target == dst_addr:
-                continue  # taken path lands correctly
-            reached = lowered.jump_target.get(ref, lb.end)
-        elif kind is TerminatorKind.UNCOND:
-            if ref in lowered.term_target:
-                reached = lowered.term_target[ref]
-            else:  # branch deleted by alignment: must fall through
-                reached = lowered.jump_target.get(ref, lb.end)
-        else:  # FALLTHROUGH
-            reached = lowered.jump_target.get(ref, lb.end)
-        if reached != dst_addr:
-            out.append(Divergence(
-                "address-replay", index,
-                _fmt_block((proc_name, dst)),
-                lowered.resolve(reached),
-                f"lowered code for block {_fmt_block(ref)} transfers to "
-                f"{reached:#x}, {_fmt_block((proc_name, dst))} lives at "
-                f"{dst_addr:#x}",
             ))
             if len(out) >= MAX_DIVERGENCES:
                 break
@@ -332,13 +274,13 @@ def _same_destination(
 
 
 def _check_edit_agreement(
-    program: Program, layout: ProgramLayout, lowered: _LoweredView
+    base: "_Baseline", layout: ProgramLayout, lowered: _LoweredView
 ) -> List[Divergence]:
     """``isa.diff``'s reported edits must match the lowered code."""
-    identity = ProgramLayout.identity(program)
+    program, identity, id_view, id_cond = (
+        base.program, base.identity, base.view, base.id_cond
+    )
     diffs = {d.name: d for d in diff_layouts(identity, layout)}
-    id_view = _LoweredView(link_identity(program))
-    id_cond, id_jumps, id_missing = _observed_edits(program, id_view)
     al_cond, al_jumps, al_missing = _observed_edits(program, lowered)
 
     out: List[Divergence] = []
@@ -416,6 +358,216 @@ def id_jumps_of(diff, identity_layout) -> Dict[BlockId, BlockId]:
 
 
 # ----------------------------------------------------------------------
+# The judge
+# ----------------------------------------------------------------------
+class _Baseline:
+    """The original image and everything its layouts are judged against.
+
+    Built once per :func:`verify_alignments` call, so the identity image,
+    its lowered view and observed edits, the block kinds, the expected
+    flow and the full-run totals are shared by every layout.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        profile: EdgeProfile,
+        trace: DecisionTrace,
+        max_events: Optional[int],
+    ):
+        self.program = program
+        self.trace = trace
+        self.max_events = max_events
+        linked = link_identity(program)
+        self.identity = linked.layout
+        self.image = _Image(linked, trace)
+        self.view = _LoweredView(linked)
+        self.id_cond = _observed_edits(program, self.view)[0]
+        self.kinds = {
+            (proc.name, bid): proc.block(bid).kind
+            for proc in program
+            for bid in proc.blocks
+        }
+        #: Template id -> the ``(proc, src, dst)`` edge it traverses.
+        self.edges: List[Optional[Tuple[str, BlockId, BlockId]]] = [
+            (t[1], t[2], t[3]) if t[0] == T_BRANCH else None
+            for t in trace.templates
+        ]
+        #: Template id -> whether its steps enter a block.
+        self.enters = [
+            trace.entered_block(t, program) is not None for t in trace.templates
+        ]
+        self.executed = [tid for tid, count in enumerate(trace.counts) if count]
+        self.expected_flow: Dict[Tuple[str, BlockId, BlockId], int] = {}
+        for name in profile.procedures():
+            for (src, dst), count in profile.proc_edges(name).items():
+                if count:
+                    self.expected_flow[(name, src, dst)] = count
+        # Totals of a run no ``max_events`` cut shortens.
+        flow_counts = {
+            edge: trace.counts[tid]
+            for tid, edge in enumerate(self.edges)
+            if edge is not None and trace.counts[tid]
+        }
+        self.blocks = sum(trace.visit_counts(program).values())
+        self.trail = sum(flow_counts.values())
+        self.flow = _flow_divergences(self.expected_flow, flow_counts)
+
+    def _cut(self, image: _Image) -> bool:
+        """Does ``max_events`` end the image's replay before the trace does?"""
+        return self.max_events is not None and image.total_events >= self.max_events
+
+    def _transfer(
+        self, edge: Tuple[str, BlockId, BlockId], lowered: _LoweredView
+    ) -> Optional[Tuple[str, str, str]]:
+        """Replay one transition ``src -> dst`` through the aligned code.
+
+        Derive from the aligned *instruction stream* (not the layout data
+        structure) the address control actually transfers to, and return
+        ``(expected, actual, detail)`` unless it is ``dst``'s address.
+        """
+        proc_name, src, dst = edge
+        ref = (proc_name, src)
+        kind = self.kinds[ref]
+        if kind in (TerminatorKind.INDIRECT, TerminatorKind.RETURN):
+            return None  # targets are runtime values, not lowered addresses
+        lb = lowered.linked.block(proc_name, src)
+        dst_addr = lowered.start_of[(proc_name, dst)]
+        if kind is TerminatorKind.COND:
+            if lowered.term_target.get(ref) == dst_addr:
+                return None  # taken path lands correctly
+            reached = lowered.jump_target.get(ref, lb.end)
+        elif kind is TerminatorKind.UNCOND:
+            if ref in lowered.term_target:
+                reached = lowered.term_target[ref]
+            else:  # branch deleted by alignment: must fall through
+                reached = lowered.jump_target.get(ref, lb.end)
+        else:  # FALLTHROUGH
+            reached = lowered.jump_target.get(ref, lb.end)
+        if reached == dst_addr:
+            return None
+        return (
+            _fmt_block((proc_name, dst)),
+            lowered.resolve(reached),
+            f"lowered code for block {_fmt_block(ref)} transfers to "
+            f"{reached:#x}, {_fmt_block((proc_name, dst))} lives at "
+            f"{dst_addr:#x}",
+        )
+
+    def judge(self, layout: ProgramLayout, label: str) -> OracleReport:
+        """Differentially verify one aligned layout, template by template."""
+        linked = link(layout)
+        image = _Image(linked, self.trace)
+        lowered = _LoweredView(linked)
+        inverted = {
+            (name, bid)
+            for name in layout.program.order
+            for bid in layout[name].inverted_conditionals()
+        }
+        bad_edges: Dict[int, Tuple[str, str, str]] = {}
+        for tid in self.executed:
+            edge = self.edges[tid]
+            found = self._transfer(edge, lowered) if edge is not None else None
+            if found is not None:
+                bad_edges[tid] = found
+        base = self.image
+        clean = (
+            not bad_edges
+            and not (self._cut(base) or self._cut(image))
+            and not any(
+                _sense(base.cond[tid], image.cond[tid], inverted)
+                for tid in self.executed
+                if base.cond[tid] is not None
+            )
+        )
+        if clean:
+            # Every executed template's pieces agree and no cut shortens
+            # either run, so the captures agree element for element.
+            dynamic: List[Divergence] = list(self.flow)
+            blocks_compared, edges_replayed = self.blocks, self.trail
+        else:
+            dynamic, blocks_compared, edges_replayed = self._walk(
+                image, inverted, bad_edges
+            )
+        return OracleReport(
+            label=label,
+            blocks_compared=blocks_compared,
+            edges_replayed=edges_replayed,
+            divergences=dynamic + _check_edit_agreement(self, layout, lowered),
+        )
+
+    def _walk(
+        self,
+        image: _Image,
+        inverted: set,
+        bad_edges: Dict[int, Tuple[str, str, str]],
+    ) -> Tuple[List[Divergence], int, int]:
+        """Rebuild both captures step by step to index every divergence.
+
+        Side 0 is the baseline, side 1 the aligned image.  While both
+        runs are live they emit the same step, so their conditional
+        outcomes pair by position exactly as a zip of the full captures
+        would; after a ``max_events`` cut the other side only counts.
+        Entered blocks are the templates', so block sequences can only
+        differ in length.
+        """
+        sides = (self.image, image)
+        limit = self.max_events
+        aligned_flow: Dict[Tuple[str, BlockId, BlockId], int] = {}
+        senses: List[Divergence] = []
+        replays: List[Divergence] = []
+        n_blocks = [1, 1]  # both captures open with the entry block
+        n_conds = [0, 0]
+        events = [0, 0]
+        live = [True, True]
+        trail = 0
+        for tid in self.trace.iter_steps():
+            outcome = sides[0].cond[tid]
+            if live[0] and live[1] and outcome is not None:
+                found = _sense(outcome, image.cond[tid], inverted)
+                if found is not None and len(senses) < MAX_DIVERGENCES:
+                    senses.append(Divergence("branch-sense", n_conds[0], *found))
+            edge = self.edges[tid]
+            for side, piece in enumerate(sides):
+                if not live[side]:
+                    continue
+                if edge is not None:
+                    if side == 0:
+                        found = bad_edges.get(tid)
+                        if found is not None and len(replays) < MAX_DIVERGENCES:
+                            replays.append(Divergence("address-replay", trail, *found))
+                        trail += 1
+                    else:
+                        aligned_flow[edge] = aligned_flow.get(edge, 0) + 1
+                if outcome is not None:
+                    n_conds[side] += 1
+                events[side] += piece.events[tid]
+                if limit is not None and events[side] >= limit:
+                    live[side] = False
+                elif self.enters[tid]:
+                    n_blocks[side] += 1
+            if not (live[0] or live[1]):
+                break
+        blocks: List[Divergence] = []
+        if n_blocks[0] != n_blocks[1]:
+            blocks.append(Divergence(
+                "block-sequence", min(n_blocks),
+                f"{n_blocks[0]} blocks", f"{n_blocks[1]} blocks",
+                "trace lengths differ",
+            ))
+        # A capped check stops before its length comparison, as a
+        # sequential scan that returns at the cap would.
+        if len(senses) < MAX_DIVERGENCES and n_conds[0] != n_conds[1]:
+            senses.append(Divergence(
+                "branch-sense", None,
+                f"{n_conds[0]} conditional executions",
+                f"{n_conds[1]} conditional executions",
+            ))
+        flow = _flow_divergences(self.expected_flow, aligned_flow)
+        return blocks + senses + flow + replays, n_blocks[0], trail
+
+
+# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 def verify_layout(
@@ -424,43 +576,21 @@ def verify_layout(
     layout: ProgramLayout,
     seed: int = 0,
     label: str = "aligned",
-    baseline: Optional[TraceCapture] = None,
     max_events: Optional[int] = None,
-    decisions=None,
+    decisions: Optional[DecisionTrace] = None,
 ) -> OracleReport:
     """Differentially verify one aligned layout against the original.
 
-    ``baseline`` lets callers capture the original trace once and verify
-    many layouts against it; ``profile`` must be the edge profile the
-    aligner consumed (collected on the original binary with ``seed``).
-    ``decisions`` (a :class:`~repro.sim.decisions.DecisionTrace`) replays
-    the shared decision stream through both images instead of
-    re-executing each one.
+    ``profile`` must be the edge profile the simulators consume
+    (collected on the original binary with ``seed``).  ``decisions``
+    reuses an already captured
+    :class:`~repro.sim.decisions.DecisionTrace`; without one, the
+    program's decisions are captured once here.
     """
-    if baseline is None:
-        baseline = capture_trace(
-            link_identity(program), seed=seed, max_events=max_events,
-            decisions=decisions,
-        )
-    aligned_linked = link(layout)
-    aligned = capture_trace(
-        aligned_linked, seed=seed, max_events=max_events, trail=False,
-        decisions=decisions,
-    )
-    lowered = _LoweredView(aligned_linked)
-
-    divergences: List[Divergence] = []
-    divergences += _check_block_sequence(baseline, aligned)
-    divergences += _check_branch_sense(baseline, aligned, layout)
-    divergences += _check_flow_conservation(profile, aligned)
-    divergences += _check_address_replay(program, baseline, lowered)
-    divergences += _check_edit_agreement(program, layout, lowered)
-    return OracleReport(
-        label=label,
-        blocks_compared=len(baseline.blocks),
-        edges_replayed=len(baseline.edge_trail),
-        divergences=divergences,
-    )
+    return verify_alignments(
+        program, profile, {label: layout},
+        seed=seed, max_events=max_events, decisions=decisions,
+    )[0]
 
 
 def alignment_layouts(
@@ -516,28 +646,16 @@ def verify_alignments(
     layouts: Dict[str, ProgramLayout],
     seed: int = 0,
     max_events: Optional[int] = None,
-    decisions=None,
+    decisions: Optional[DecisionTrace] = None,
 ) -> List[OracleReport]:
     """Verify several labelled layouts against one shared baseline.
 
-    The program executes exactly once: its decision trace is captured
-    (unless ``decisions`` hands one in) and replayed to produce the
-    baseline capture *and* every aligned capture — N layouts cost one
-    execution, and baseline/aligned comparability is by construction.
+    The program executes at most once: its decision trace is captured
+    (unless ``decisions`` hands one in) and every layout is judged on
+    the trace's step templates — N layouts cost one execution, and
+    baseline/aligned comparability is by construction.
     """
     if decisions is None:
-        from ..sim.decisions import capture_decisions
-
         decisions = capture_decisions(program, seed=seed)
-    baseline = capture_trace(
-        link_identity(program), seed=seed, max_events=max_events,
-        decisions=decisions,
-    )
-    return [
-        verify_layout(
-            program, profile, layout,
-            seed=seed, label=label, baseline=baseline, max_events=max_events,
-            decisions=decisions,
-        )
-        for label, layout in layouts.items()
-    ]
+    baseline = _Baseline(program, profile, decisions, max_events)
+    return [baseline.judge(layout, label) for label, layout in layouts.items()]

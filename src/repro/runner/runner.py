@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiment import (
-    TRY_MODEL_ARCHS,
     ArchOutcome,
     BenchmarkExperiment,
     run_benchmark_experiment,
@@ -315,6 +314,7 @@ def execute_unit(task: UnitTask) -> dict:
     with _stage("align"):
         injector.fire("align", name, attempt)
 
+    judged = None
     with _stage("simulate"):
         if task.kind == "experiment":
             experiment = run_benchmark_experiment(
@@ -335,6 +335,7 @@ def execute_unit(task: UnitTask) -> dict:
             )
             injector.fire("simulate", name, attempt)
             payload = {"unit": "experiment", "data": experiment_to_dict(experiment)}
+            judged = experiment.layouts
         elif task.kind == "figure4":
             row = run_figure4_program(
                 name,
@@ -352,13 +353,16 @@ def execute_unit(task: UnitTask) -> dict:
             raise FatalError(f"unknown unit kind {task.kind!r}")
 
     if task.oracle or task.prove:
-        # Compute (and fault-mutate) the layouts once, so the dynamic
-        # oracle and the static prover judge the *same* binaries.
+        # Fault-mutate the layouts once, so the dynamic oracle and the
+        # static prover judge the *same* binaries — for experiments, the
+        # very layouts the experiment simulated.
         with _stage("oracle" if task.oracle else "prove"):
             injector.fire("layout", name, attempt)
+            if judged is None:
+                judged = _figure4_layouts(task, program, profile)
             layouts = {
                 label: injector.mutate_layout(name, attempt, label, layout, profile)
-                for label, layout in _oracle_layouts(task, program, profile).items()
+                for label, layout in judged.items()
             }
         if task.oracle:
             with _stage("oracle"):
@@ -369,34 +373,23 @@ def execute_unit(task: UnitTask) -> dict:
     return payload
 
 
-def _oracle_layouts(task: UnitTask, program, profile) -> dict:
-    """The aligned layouts the unit's experiment actually exercises."""
+def _figure4_layouts(task: UnitTask, program, profile) -> dict:
+    """The layouts a figure4 unit's judges check.
+
+    Figure 4 simulates only its greedy and Try15-BTB layouts on the
+    Alpha model, but the judges check the registry's BTB label set, so
+    these are aligned here rather than reused from the simulation.
+    """
     from ..oracle import alignment_layouts
 
-    if task.kind == "figure4":
-        return alignment_layouts(
-            program,
-            profile,
-            window=task.window,
-            models=("btb",),
-            include_greedy=True,
-            include_greedy_btfnt=False,
-            min_weight=task.min_weight,
-        )
-    models = tuple(
-        model
-        for model, served in TRY_MODEL_ARCHS.items()
-        if any(arch in task.archs for arch in served)
-    )
     return alignment_layouts(
         program,
         profile,
         window=task.window,
-        models=models,
-        include_greedy=any(arch != "btfnt" for arch in task.archs),
-        include_greedy_btfnt="btfnt" in task.archs,
+        models=("btb",),
+        include_greedy=True,
+        include_greedy_btfnt=False,
         min_weight=task.min_weight,
-        algorithms=task.algorithms,
     )
 
 

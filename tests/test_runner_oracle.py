@@ -1,6 +1,7 @@
 """Runner/CLI integration of the differential oracle and artifact store."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.runner import (
     RunnerConfig,
     run_suite_resilient,
 )
+from repro.runner.runner import UnitTask, execute_unit
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0)
 ARCHS = ("fallthrough", "btfnt")
@@ -22,6 +24,55 @@ WINDOW = 6
 
 def layout_plan(benchmark, kind):
     return FaultPlan((FaultSpec(benchmark, "layout", kind),))
+
+
+def signature(layout):
+    """A layout's placements, comparable across separately built objects."""
+    return tuple(
+        (name, layout[name].placements) for name in layout.program.order
+    )
+
+
+class TestJudgesReuseExperimentLayouts:
+    @pytest.mark.parametrize("profile_source", ["measured", "static"])
+    def test_judges_check_the_simulated_layouts(self, monkeypatch, profile_source):
+        """The oracle and prover judge exactly what the experiment measured.
+
+        With a static profile the aligners see a prediction, so layouts
+        re-aligned from the measured profile would be different binaries.
+        """
+        import repro.analysis.experiment as experiment
+        import repro.oracle as oracle
+        import repro.staticcheck.binary as binary
+
+        simulated, judged = [], {}
+
+        def recording(original, sink):
+            def wrapper(*args, **kwargs):
+                layouts = args[2] if sink == "oracle" else args[1]
+                judged[sink] = Counter(signature(layout) for layout in layouts.values())
+                return original(*args, **kwargs)
+            return wrapper
+
+        def link(layout):
+            simulated.append(signature(layout))
+            return original_link(layout)
+
+        original_link = experiment.link
+        monkeypatch.setattr(experiment, "link", link)
+        monkeypatch.setattr(
+            oracle, "verify_alignments", recording(oracle.verify_alignments, "oracle")
+        )
+        monkeypatch.setattr(
+            binary, "prove_layouts", recording(binary.prove_layouts, "prove")
+        )
+        execute_unit(UnitTask(
+            kind="experiment", benchmark="compress", scale=SCALE, window=WINDOW,
+            oracle=True, prove=True, profile_source=profile_source,
+        ))
+        assert simulated
+        assert judged["oracle"] == Counter(simulated)
+        assert judged["prove"] == Counter(simulated)
 
 
 class TestOracleInRunner:
