@@ -128,7 +128,8 @@ class RunnerConfig:
     #: ``"execute"`` keeps the legacy one-execution-per-layout path.
     engine: str = "replay"
     #: Differentially check every replay against a fresh execution
-    #: (slow; equivalent to ``REPRO_REPLAY_CHECK=1``).
+    #: (slow).  Left False, ``REPRO_REPLAY_CHECK=1`` in the environment
+    #: of the process running a unit turns the check on all the same.
     replay_check: bool = False
     #: Directory of the decision-trace cache (None captures in memory,
     #: once per unit, with no cross-run reuse).
@@ -329,7 +330,8 @@ def execute_unit(task: UnitTask) -> dict:
                 validate=task.validate,
                 engine=task.engine,
                 trace=trace,
-                replay_check=task.replay_check,
+                # False defers to REPRO_REPLAY_CHECK, as a direct call does.
+                replay_check=task.replay_check or None,
                 algorithms=task.algorithms,
                 profile_source=task.profile_source,
             )

@@ -31,7 +31,9 @@ import hashlib
 import json
 import sys
 from array import array
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional
+from typing import Protocol, Sequence, Tuple, TypeVar, cast
 
 if TYPE_CHECKING:
     from ..profiling.edge_profile import EdgeProfile
@@ -55,6 +57,24 @@ T_RET = 2     #: (T_RET, proc, bid, caller_proc, caller_bid, resume_idx)
 T_FINAL = 3   #: (T_FINAL, proc, bid) — return from the entry procedure
 
 _STREAM_TYPECODE = "q"
+
+_T = TypeVar("_T")
+
+
+def template_source(template: Tuple) -> Optional[Tuple]:
+    """The control site a step template leaves from, as a layout-free key.
+
+    Intra-procedural transfers leave from their block, calls from their
+    call site (block and call index); every template of one source
+    reaches the branch predictors through the same site in any layout.
+    Returns leave through the return stack only, so they have no source.
+    """
+    kind = template[0]
+    if kind == T_BRANCH:
+        return (template[1], template[2])
+    if kind == T_CALL:
+        return (template[1], template[2], template[3])
+    return None
 
 
 class TraceDecodeError(ValueError):
@@ -113,7 +133,8 @@ class DecisionTrace:
     chunked ``_chunks`` arrays hold the step stream as template ids in
     execution order.  Everything a replay needs that does not depend on
     the layout — block visit counts, the reconstructed edge profile,
-    return-stack statistics — is derived (and cached) here.
+    the return-stack run, per-source step streams, per-site predictor
+    summaries — is derived (and cached) here.
     """
 
     def __init__(
@@ -132,7 +153,12 @@ class DecisionTrace:
         self.meta = dict(meta or {})
         self.fingerprint = fingerprint
         self._visit_counts: Optional[Dict[Tuple[str, BlockId], int]] = None
-        self._ras_cache: Dict[int, Tuple[int, int, int]] = {}
+        self._ras_runs: Dict[int, ReturnStack] = {}
+        self._sources: Optional[Dict[Tuple, List[int]]] = None
+        self._source_streams: Optional[Dict[Tuple, array]] = None
+        self._last_steps: Optional[array] = None
+        self._substream: Optional[Tuple[FrozenSet[int], array]] = None
+        self._summaries: Dict[Hashable, object] = {}
 
     # -- stream access -------------------------------------------------
     def iter_chunks(self) -> Iterator[array]:
@@ -143,6 +169,78 @@ class DecisionTrace:
         """Yield every template id in execution order."""
         for chunk in self._chunks:
             yield from chunk
+
+    def _id_typecode(self) -> str:
+        return "H" if len(self.templates) <= 0xFFFF else "L"
+
+    def sources(self) -> Dict[Tuple, List[int]]:
+        """Every control source's templates (see :func:`template_source`)."""
+        if self._sources is None:
+            members: Dict[Tuple, List[int]] = {}
+            for tid, template in enumerate(self.templates):
+                source = template_source(template)
+                if source is not None:
+                    members.setdefault(source, []).append(tid)
+            self._sources = members
+        return self._sources
+
+    def source_streams(self) -> Dict[Tuple, array]:
+        """Each multi-template source's own step stream, in order (cached).
+
+        A source with one template has none: its stream is that
+        template, ``counts[tid]`` times.
+        """
+        if self._source_streams is None:
+            streams: Dict[Tuple, array] = {}
+            appenders: Dict[int, Callable[[int], None]] = {}
+            for source, tids in self.sources().items():
+                if len(tids) > 1:
+                    stream = streams[source] = array(self._id_typecode())
+                    appenders.update(dict.fromkeys(tids, stream.append))
+            for tid in filter(appenders.__contains__, chain.from_iterable(self._chunks)):
+                appenders[tid](tid)
+            self._source_streams = streams
+        return self._source_streams
+
+    def last_steps(self) -> array:
+        """Per template, the index of the last step that ran it (cached)."""
+        if self._last_steps is None:
+            last = array("q", [-1]) * len(self.templates)
+            missing = set(range(len(self.templates)))
+            end = sum(len(chunk) for chunk in self._chunks)
+            for chunk in reversed(self._chunks):
+                end -= len(chunk)
+                found = missing.intersection(chunk)
+                if found:
+                    missing -= found
+                    backwards = chunk[::-1]
+                    for tid in found:
+                        last[tid] = end + len(chunk) - 1 - backwards.index(tid)
+                if not missing:
+                    break
+            self._last_steps = last
+        return self._last_steps
+
+    def substream(self, tids: FrozenSet[int]) -> array:
+        """The step stream restricted to the templates ``tids``, in order.
+
+        The last restriction is cached: layouts of one program mostly
+        ask for the same one (their conditional templates).
+        """
+        if self._substream is None or self._substream[0] != tids:
+            steps = chain.from_iterable(self._chunks)
+            self._substream = (tids, array(self._id_typecode(), filter(tids.__contains__, steps)))
+        return self._substream[1]
+
+    def summary(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, computed once per ``key`` for the trace's lifetime.
+
+        Replay caches its per-site predictor summaries here: they depend
+        on the decision stream, never on the layout being replayed.
+        """
+        if key not in self._summaries:
+            self._summaries[key] = build()
+        return cast(_T, self._summaries[key])
 
     # -- layout-independent aggregates ---------------------------------
     def entered_block(self, template: Tuple, program: Program) -> Optional[Tuple[str, BlockId]]:
@@ -183,7 +281,8 @@ class DecisionTrace:
                 profile.set_weight(template[1], template[2], template[3], count)
         return profile
 
-    def _call_site_ids(self) -> Dict[Tuple[str, BlockId, int], int]:
+    def call_site_ids(self) -> Dict[Tuple[str, BlockId, int], int]:
+        """Dense ids for the call sites the trace executed, in first-seen order."""
         ids: Dict[Tuple[str, BlockId, int], int] = {}
         for template in self.templates:
             if template[0] == T_CALL:
@@ -191,44 +290,49 @@ class DecisionTrace:
                 ids.setdefault(site, len(ids))
         return ids
 
-    def ras_stats(self, depth: int) -> Tuple[int, int, int]:
-        """(pushes, pops, correct) of a ``depth``-entry return stack.
+    def ras_walk(self, ras: ReturnStack, relabel: Sequence[int]) -> None:
+        """Run the trace's calls and returns through ``ras``.
+
+        A call pushes, and a return pops, stand-in value ``id + 1`` of
+        the call site involved (see :meth:`call_site_ids`); the final
+        return pops the sentinel 0.  ``relabel[v]`` is the value actually
+        pushed or compared for stand-in ``v`` — the return addresses of
+        one layout, or the identity.
+        """
+        site_ids = self.call_site_ids()
+        actions: Dict[int, Tuple[bool, int]] = {}  # tid -> (is_push, stand-in)
+        for tid, template in enumerate(self.templates):
+            kind = template[0]
+            if kind == T_CALL:
+                actions[tid] = (True, site_ids[(template[1], template[2], template[3])] + 1)
+            elif kind == T_RET:
+                actions[tid] = (False, site_ids[(template[3], template[4], template[5] - 1)] + 1)
+            elif kind == T_FINAL:
+                actions[tid] = (False, 0)
+        push, pop = ras.push, ras.pop_predict
+        for tid in filter(actions.__contains__, chain.from_iterable(self._chunks)):
+            is_push, value = actions[tid]
+            if is_push:
+                push(relabel[value])
+            else:
+                pop(relabel[value])
+
+    def ras_run(self, depth: int) -> ReturnStack:
+        """A ``depth``-entry return stack after the whole trace, from power-up.
 
         Return-stack behaviour is layout-invariant: pushed values are
         call-site return addresses and pop targets are those same
         addresses, so prediction outcomes depend only on call-site
-        *identity* — which this replays with small site ids (+1 so the
-        final return's sentinel target 0 never matches a pushed value,
-        exactly as address 0 never equals ``site + 4``).
+        *identity* — which this replays with the stand-in values of
+        :meth:`ras_walk` (the final return's sentinel 0 never matches a
+        pushed value, exactly as address 0 never equals ``site + 4``).
+        Cached per depth; relabel its entries to adopt it for a layout.
         """
-        if depth not in self._ras_cache:
-            site_ids = self._call_site_ids()
-            actions: List[Tuple[bool, int]] = []  # (is_push, value)
-            for template in self.templates:
-                kind = template[0]
-                if kind == T_CALL:
-                    actions.append((True, site_ids[(template[1], template[2], template[3])] + 1))
-                elif kind == T_RET:
-                    actions.append((False, site_ids[(template[3], template[4], template[5] - 1)] + 1))
-                elif kind == T_FINAL:
-                    actions.append((False, 0))
-                else:
-                    actions.append((True, -1))  # branch: no RAS action
+        if depth not in self._ras_runs:
             ras = ReturnStack(depth)
-            branch_k = T_BRANCH
-            kinds = [t[0] for t in self.templates]
-            push, pop = ras.push, ras.pop_predict
-            for chunk in self._chunks:
-                for tid in chunk:
-                    if kinds[tid] == branch_k:
-                        continue
-                    is_push, value = actions[tid]
-                    if is_push:
-                        push(value)
-                    else:
-                        pop(value)
-            self._ras_cache[depth] = (ras.pushes, ras.pops, ras.correct)
-        return self._ras_cache[depth]
+            self.ras_walk(ras, range(len(self.call_site_ids()) + 1))
+            self._ras_runs[depth] = ras
+        return self._ras_runs[depth]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,10 +20,10 @@ and a correctly predicted taken conditional that hits costs nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from .. import trace as tr
-from .base import MISFETCH_CYCLES, MISPREDICT_CYCLES, PenaltyCounts
+from ..trace import Event
+from .base import PenaltyCounts
 from .ras import ReturnStack
 
 
@@ -52,8 +52,12 @@ class BTB:
         self.hits = 0
         self.misses = 0
 
+    def set_index(self, site: int) -> int:
+        """The set the branch at ``site`` maps to."""
+        return (site >> 2) % self.sets
+
     def _set_for(self, site: int) -> Dict[int, _Entry]:
-        return self._sets[(site >> 2) % self.sets]
+        return self._sets[self.set_index(site)]
 
     def lookup(self, site: int) -> Optional[_Entry]:
         """Probe the BTB; hits refresh the LRU stamp."""
@@ -102,61 +106,93 @@ class BTBSim:
         self.counts = PenaltyCounts()
 
     # ------------------------------------------------------------------
-    def on_event(self, event) -> None:
-        """Predict and train on one control-flow event (BTB rules)."""
-        kind, site, target, taken = event
+    def feed(self, events: Iterable[Event]) -> None:
+        """Predict and train on ``events`` in order (BTB rules).
+
+        This is the BTB rule's one implementation, with :meth:`BTB.lookup`
+        and :meth:`BTB.insert` inlined: every event but a return probes
+        the BTB, and a miss on a taken branch allocates an entry.
+        """
         counts = self.counts
         btb = self.btb
-        if kind == tr.COND:
-            counts.cond_executed += 1
-            entry = btb.lookup(site)
-            if entry is not None:
-                predicted = entry.counter >= 2
-                if taken:
-                    if entry.counter < 3:
-                        entry.counter += 1
+        sets = btb._sets
+        nsets = btb.sets
+        assoc = btb.assoc
+        clock = btb._clock
+        hits = btb.hits
+        misses = btb.misses
+        push = self.ras.push
+        pop = self.ras.pop_predict
+        mis = counts.misfetches
+        mp = counts.mispredicts
+        ce = counts.cond_executed
+        cc = counts.cond_correct
+        for kind, site, target, taken in events:
+            if kind == 5:  # RET — no BTB traffic
+                if not pop(target):
+                    mp += 1
+                continue
+            clock += 1
+            bucket = sets[(site >> 2) % nsets]
+            entry = bucket.get(site)
+            if kind == 0:  # COND
+                ce += 1
+                if entry is not None:
+                    hits += 1
+                    entry.stamp = clock
+                    predicted = entry.counter >= 2
+                    if taken:
+                        if entry.counter < 3:
+                            entry.counter += 1
+                        entry.target = target
+                    elif entry.counter > 0:
+                        entry.counter -= 1
+                else:
+                    misses += 1
+                    predicted = False
+                    if taken:
+                        clock += 1
+                        if len(bucket) >= assoc:
+                            del bucket[min(bucket, key=lambda tag: bucket[tag].stamp)]
+                        bucket[site] = _Entry(target, 2, clock)
+                # A predicted-taken hit redirects fetch from the BTB: no
+                # misfetch.  A correct not-taken costs nothing either.
+                if predicted == taken:
+                    cc += 1
+                else:
+                    mp += 1
+                continue
+            if entry is None:
+                misses += 1
+                # A miss on an unconditional branch or direct call only
+                # misfetches; an indirect transfer has no target at all.
+                if kind == 1 or kind == 3:
+                    mis += 1
+                else:
+                    mp += 1
+                clock += 1
+                if len(bucket) >= assoc:
+                    del bucket[min(bucket, key=lambda tag: bucket[tag].stamp)]
+                bucket[site] = _Entry(target, 2, clock)
+            else:
+                hits += 1
+                entry.stamp = clock
+                if (kind == 2 or kind == 4) and entry.target != target:
+                    mp += 1
                     entry.target = target
-                elif entry.counter > 0:
-                    entry.counter -= 1
-            else:
-                predicted = False
-                if taken:
-                    btb.insert(site, target)
-            if predicted == taken:
-                counts.cond_correct += 1
-                # A predicted-taken hit redirects fetch from the BTB:
-                # no misfetch.  A correct not-taken costs nothing either.
-            else:
-                counts.mispredicts += 1
-        elif kind == tr.UNCOND:
-            if btb.lookup(site) is None:
-                counts.misfetches += 1
-                btb.insert(site, target)
-        elif kind == tr.CALL:
-            if btb.lookup(site) is None:
-                counts.misfetches += 1
-                btb.insert(site, target)
-            self.ras.push(site + 4)
-        elif kind == tr.ICALL:
-            entry = btb.lookup(site)
-            if entry is None:
-                counts.mispredicts += 1
-                btb.insert(site, target)
-            elif entry.target != target:
-                counts.mispredicts += 1
-                entry.target = target
-            self.ras.push(site + 4)
-        elif kind == tr.INDIRECT:
-            entry = btb.lookup(site)
-            if entry is None:
-                counts.mispredicts += 1
-                btb.insert(site, target)
-            elif entry.target != target:
-                counts.mispredicts += 1
-                entry.target = target
-        else:  # RET
-            if not self.ras.pop_predict(target):
-                counts.mispredicts += 1
+            if kind == 3 or kind == 4:  # CALL / ICALL
+                push(site + 4)
+        btb._clock = clock
+        btb.hits = hits
+        btb.misses = misses
+        counts.misfetches = mis
+        counts.mispredicts = mp
+        counts.cond_executed = ce
+        counts.cond_correct = cc
+
+    def on_event(self, event: Event) -> None:
+        """Predict and train on one control-flow event."""
+        self.feed((event,))
 
     # ------------------------------------------------------------------
     @property

@@ -9,8 +9,9 @@ class SaturatingCounter:
     """An n-bit saturating up/down counter predicting branch direction.
 
     Values of ``2**(bits-1)`` and above predict taken.  A single counter
-    object is mostly used in tests; the table simulators inline the
-    arithmetic on plain integer lists for speed.
+    object is mostly used in tests; the table predictors keep their
+    counters in a :class:`CounterTable` and update them in their own
+    ``feed`` kernels.
     """
 
     def __init__(self, bits: int = 2, value: int = 1):
@@ -38,8 +39,9 @@ class SaturatingCounter:
 class CounterTable:
     """A fixed-size table of 2-bit saturating counters.
 
-    The hot-path operations work directly on an integer list; counters are
-    initialised weakly-not-taken (1), a conventional power-up state.
+    The counters are a plain integer list, which the predictors' ``feed``
+    kernels index directly; counters are initialised weakly-not-taken
+    (1), a conventional power-up state.
     """
 
     BITS = 2

@@ -15,6 +15,9 @@ still pay the one-cycle misfetch, like the static architectures.
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from ..trace import Event
 from .base import BranchArchSim
 from .counters import CounterTable
 
@@ -34,11 +37,64 @@ class DirectMappedPHT(BranchArchSim):
     def _index(self, site: int) -> int:
         return site >> 2
 
+    def slot(self, site: int) -> int:
+        """The table counter the conditional branch at ``site`` uses."""
+        return self._index(site) & self.table.mask
+
     def predict_cond(self, site: int) -> bool:
         return self.table.predict(self._index(site))
 
     def update_cond(self, site: int, taken: bool) -> None:
         self.table.update(self._index(site), taken)
+
+    def feed(self, events: Iterable[Event]) -> None:
+        """The per-site PHT rule over ``events``: one counter per site slot."""
+        counts = self.counts
+        table = self.table
+        counters = table.counters
+        mask = table.mask
+        push = self.ras.push
+        pop = self.ras.pop_predict
+        mis = counts.misfetches
+        mp = counts.mispredicts
+        ce = counts.cond_executed
+        cc = counts.cond_correct
+        for kind, site, target, taken in events:
+            if kind == 0:  # COND
+                ce += 1
+                index = (site >> 2) & mask
+                value = counters[index]
+                if taken:
+                    if value < 3:
+                        counters[index] = value + 1
+                    if value >= 2:
+                        cc += 1
+                        mis += 1
+                    else:
+                        mp += 1
+                else:
+                    if value > 0:
+                        counters[index] = value - 1
+                    if value >= 2:
+                        mp += 1
+                    else:
+                        cc += 1
+            elif kind == 1:  # UNCOND
+                mis += 1
+            elif kind == 3:  # CALL
+                mis += 1
+                push(site + 4)
+            elif kind == 4:  # ICALL
+                mp += 1
+                push(site + 4)
+            elif kind == 2:  # INDIRECT
+                mp += 1
+            elif not pop(target):  # RET
+                mp += 1
+        counts.misfetches = mis
+        counts.mispredicts = mp
+        counts.cond_executed = ce
+        counts.cond_correct = cc
 
     def reset(self) -> None:
         """Reset counters, return stack and the pattern table."""
@@ -58,11 +114,6 @@ class CorrelationPHT(DirectMappedPHT):
         ras_depth: int = 32,
     ):
         super().__init__(entries, ras_depth)
-        if (1 << history_bits) < entries:
-            # A shorter history than the index width is legal (gshare
-            # simply XORs into the low bits) but the paper pairs a 12-bit
-            # register with a 4096-entry table, so warn via validation.
-            pass
         self.history_bits = history_bits
         self.history_mask = (1 << history_bits) - 1
         self.history = 0
@@ -75,6 +126,60 @@ class CorrelationPHT(DirectMappedPHT):
         # calls predict_cond first, so recompute here with the same value.
         self.table.update(self._index(site), taken)
         self.history = ((self.history << 1) | (1 if taken else 0)) & self.history_mask
+
+    def feed(self, events: Iterable[Event]) -> None:
+        """The gshare rule over ``events``: history XOR site picks the counter."""
+        counts = self.counts
+        table = self.table
+        counters = table.counters
+        mask = table.mask
+        history = self.history
+        history_mask = self.history_mask
+        push = self.ras.push
+        pop = self.ras.pop_predict
+        mis = counts.misfetches
+        mp = counts.mispredicts
+        ce = counts.cond_executed
+        cc = counts.cond_correct
+        for kind, site, target, taken in events:
+            if kind == 0:  # COND
+                ce += 1
+                index = ((site >> 2) ^ history) & mask
+                value = counters[index]
+                if taken:
+                    if value < 3:
+                        counters[index] = value + 1
+                    history = ((history << 1) | 1) & history_mask
+                    if value >= 2:
+                        cc += 1
+                        mis += 1
+                    else:
+                        mp += 1
+                else:
+                    if value > 0:
+                        counters[index] = value - 1
+                    history = (history << 1) & history_mask
+                    if value >= 2:
+                        mp += 1
+                    else:
+                        cc += 1
+            elif kind == 1:  # UNCOND
+                mis += 1
+            elif kind == 3:  # CALL
+                mis += 1
+                push(site + 4)
+            elif kind == 4:  # ICALL
+                mp += 1
+                push(site + 4)
+            elif kind == 2:  # INDIRECT
+                mp += 1
+            elif not pop(target):  # RET
+                mp += 1
+        self.history = history
+        counts.misfetches = mis
+        counts.mispredicts = mp
+        counts.cond_executed = ce
+        counts.cond_correct = cc
 
     def reset(self) -> None:
         """Additionally clear the global history register."""
@@ -151,6 +256,8 @@ class LocalHistoryPHT(DirectMappedPHT):
 
     This predictor is an *extension*: Tables 3/4 simulate only the two
     PHTs the paper describes, but the extension bench compares all three.
+    It overrides the per-site rule hooks, so it runs the generic
+    :meth:`BranchArchSim.feed` rather than the inherited kernel.
     """
 
     name = "pht-local"

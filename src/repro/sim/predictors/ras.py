@@ -7,7 +7,7 @@ destination for return instructions." (section 6)
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 
 class ReturnStack:
@@ -52,6 +52,31 @@ class ReturnStack:
             self.correct += 1
             return True
         return False
+
+    @property
+    def empty(self) -> bool:
+        """True when no valid entry is left (every pop mispredicts)."""
+        return self._live == 0
+
+    def adopt(self, run: "ReturnStack", relabel: Sequence[int]) -> None:
+        """Continue as if this stack had performed ``run``'s operations.
+
+        ``run`` is a stack of the same depth that executed some push/pop
+        sequence from power-up with stand-in values; ``relabel[v]`` is
+        the real return address behind stand-in ``v``.  This stack must
+        be :attr:`empty`: then ``run``'s outcomes are exactly what the
+        same sequence would have produced here (an empty stack's stale
+        slots are never read), and the adopted entries are exact in
+        everything a later pop can observe.
+        """
+        if not self.empty or run.depth != self.depth:
+            raise ValueError("adopt needs an empty stack of the same depth")
+        self._slots = [relabel[value] for value in run._slots]
+        self._top = run._top
+        self._live = run._live
+        self.pushes += run.pushes
+        self.pops += run.pops
+        self.correct += run.correct
 
     def reset(self) -> None:
         """Empty the stack and zero the accuracy counters."""

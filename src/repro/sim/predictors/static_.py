@@ -13,7 +13,7 @@ reads the branch displacement and the compiler sets the likely bit.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Union
 
 from ...cfg import TerminatorKind
 from ...isa.encoder import LinkedProgram
@@ -81,14 +81,14 @@ class BTFNTSim(BranchArchSim):
 
     name = "btfnt"
 
-    def __init__(self, linked, ras_depth: int = 32):
+    def __init__(self, linked: Union[LinkedProgram, Mapping[int, int]], ras_depth: int = 32):
         """``linked`` is a :class:`LinkedProgram`, or directly a mapping of
         conditional site address to taken-target address (tests)."""
         super().__init__(ras_depth)
-        if isinstance(linked, dict):
-            self._taken_targets = dict(linked)
-        else:
+        if isinstance(linked, LinkedProgram):
             self._taken_targets = conditional_taken_targets(linked)
+        else:
+            self._taken_targets = dict(linked)
 
     def predict_cond(self, site: int) -> bool:
         return self._taken_targets[site] < site

@@ -8,40 +8,51 @@ execute` would emit under that layout — addresses from the lowered
 blocks, branch senses from the placement's taken target, inserted and
 removed unconditional branches from the linker's jump decisions.
 
-So N layouts × 7 architectures costs one capture plus N cheap replays,
-instead of N full executions.  Three tiers keep the replay cheap without
-ever being unfaithful:
+So N layouts × 7 architectures costs one capture plus N cheap replays.
+Each predictor's own ``feed`` is the one implementation of its rule;
+:func:`run_architectures` only decides which events each must see:
 
-* **aggregate** — the static predictors (fallthrough, BT/FNT, likely)
-  are stateless per site, so their penalty counts follow from per-site
-  visit/taken totals, layout-resolved once per site, plus the
-  layout-invariant return-stack statistics; no event loop at all.
-* **fast consumers** — the table predictors (both PHTs, the BTBs) get
-  specialised loops over the realised event stream with the predictor
-  update rules inlined; same arithmetic, no dispatch.
-* **faithful** — any other listener (trace capture, recorders,
-  subclassed predictors) receives every event through the same
-  ``on_event`` protocol the executor uses, in the same order, with the
-  same ``max_events`` cut-off semantics.
+* **aggregate** — per-kind and per-site totals come from the templates.
+  They give the static predictors' penalties, and a table predictor's
+  penalties for events its table never sees (all but conditionals for a
+  PHT, returns for a BTB).  Return stacks adopt the trace's own
+  layout-invariant run (:meth:`DecisionTrace.ras_run`).
+* **slots** — alignment never changes a branch's own decision sequence.
+  A slot at power-up used by one site (a PHT counter with one site, a
+  BTB set with no more sites than ways, which never evicts) is answered
+  from that site's summary: a fresh instance of the same predictor fed
+  the site's stream alone, cached on the trace.  Summaries write back
+  exact state.
+* **feed** — every other slot, all of gshare (its history couples every
+  conditional) and PHT variants without per-site slots take their own
+  sub-stream through ``feed``, realised from one shared restriction of
+  the step stream.
+* **faithful** — any other listener gets every event via ``on_event``;
+  :func:`replay` adds the executor's ``max_events`` semantics.
 
-The fast tiers are keyed on *exact* type: a subclass (e.g. the
-tournament PHT) automatically drops to the faithful tier rather than
-silently inheriting the wrong inlined update rule.  Differential
+Tiers are chosen by method identity, so a subclass that overrides a rule
+never inherits a decomposition of the rule it replaced.  Differential
 checking (``--replay-check``) and claim 14 assert bit-identity of the
 resulting :class:`~repro.sim.metrics.SimulationReport`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from itertools import chain, islice
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import TypeVar
 
 from ..isa.encoder import INSTRUCTION_BYTES, LinkedProgram
 from ..cfg import BlockId, TerminatorKind
+from ..profiling.condmix import CondMixListener
 from . import trace as tr
-from .decisions import DecisionTrace, T_BRANCH, T_CALL, T_FINAL, T_RET
+from .decisions import CHUNK_STEPS, DecisionTrace, T_BRANCH, T_CALL, T_FINAL, T_RET
+from .decisions import template_source
 from .executor import ExecutionResult, _compile_nodes
+from .predictors.base import BranchArchSim, PenaltyCounts
 from .predictors.btb import BTBSim, _Entry as _BTBEntry
 from .predictors.pht import CorrelationPHT, DirectMappedPHT
+from .predictors.ras import ReturnStack
 from .predictors.static_ import BTFNTSim, FallthroughSim, LikelySim
 
 
@@ -225,341 +236,320 @@ def replay(
     return ExecutionResult(instructions=instructions, events=events, blocks=blocks_executed)
 
 
-# -- layout-level aggregates ------------------------------------------
+# -- the per-layout view -----------------------------------------------
+
+_S = TypeVar("_S")
+
+#: A per-site summary as :meth:`_Layout.summary` returns it: the probe's
+#: result plus the real target address behind each stand-in target.
+_Summary = Tuple[_S, List[int]]
+
+#: A summary probe: fed a site's events, then ``repeats`` more copies of
+#: the last one.
+_Probe = Callable[[List[Event], int], _S]
+
+#: Template id -> the events one predictor must still see of that step.
+_Rest = Dict[int, Tuple[Event, ...]]
 
 
-class _Aggregates:
-    """Per-layout event totals derived from templates alone."""
-
-    __slots__ = (
-        "instructions",
-        "events",
-        "cond_sites",
-        "cond_executed",
-        "cond_taken",
-        "uncond_events",
-        "call_events",
-        "icall_events",
-        "indirect_events",
-        "ret_events",
-    )
+class _Layout:
+    """One layout's event totals and table-predictor sites."""
 
     def __init__(self, linked: LinkedProgram, trace: DecisionTrace, compiled: List[_Step]):
-        program = linked.program
+        self.trace = trace
+        self.compiled = compiled
         self.instructions = 0
-        for (proc, bid), visits in trace.visit_counts(program).items():
+        for (proc, bid), visits in trace.visit_counts(linked.program).items():
             self.instructions += visits * linked.block(proc, bid).size
         self.events = 0
+        #: Executed events per kind (``tr.COND`` ... ``tr.RET``).
+        self.kinds = [0] * (tr.RET + 1)
+        self.cond_taken = 0
         #: site -> [visits, taken] for every executed conditional site.
         self.cond_sites: Dict[int, List[int]] = {}
-        self.cond_executed = 0
-        self.cond_taken = 0
-        self.uncond_events = 0
-        self.call_events = 0
-        self.icall_events = 0
-        self.indirect_events = 0
-        self.ret_events = 0
-        cond_k, uncond_k, indirect_k = tr.COND, tr.UNCOND, tr.INDIRECT
-        call_k, icall_k = tr.CALL, tr.ICALL
-        for step, count in zip(compiled, trace.counts):
+        #: site -> (template id, event position) of every executed event
+        #: a table predictor sees there (all kinds but returns).
+        self.sites: Dict[int, List[Tuple[int, int]]] = {}
+        #: Template id -> its conditional event, for every conditional step.
+        self.cond_events: _Rest = {}
+        self._relabel: Optional[List[int]] = None
+        for tid, (step, count) in enumerate(zip(compiled, trace.counts)):
             if not step.events or not count:
                 continue
             self.events += len(step.events) * count
-            for kind, site, _target, taken in step.events:
-                if kind == cond_k:
+            for pos, event in enumerate(step.events):
+                kind, site, _target, taken = event
+                self.kinds[kind] += count
+                if kind == tr.RET:
+                    continue
+                self.sites.setdefault(site, []).append((tid, pos))
+                if kind == tr.COND:
+                    self.cond_events[tid] = (event,)
                     entry = self.cond_sites.setdefault(site, [0, 0])
                     entry[0] += count
-                    self.cond_executed += count
                     if taken:
                         entry[1] += count
                         self.cond_taken += count
-                elif kind == uncond_k:
-                    self.uncond_events += count
-                elif kind == call_k:
-                    self.call_events += count
-                elif kind == icall_k:
-                    self.icall_events += count
-                elif kind == indirect_k:
-                    self.indirect_events += count
-                else:
-                    self.ret_events += count
+
+    def relabel(self) -> List[int]:
+        """Return-stack stand-in value -> this layout's return address."""
+        if self._relabel is None:
+            site_ids = self.trace.call_site_ids()
+            relabel = [0] * (len(site_ids) + 1)
+            for template, step in zip(self.trace.templates, self.compiled):
+                if template[0] == T_CALL:
+                    site_id = site_ids[(template[1], template[2], template[3])]
+                    relabel[site_id + 1] = step.events[0][1] + INSTRUCTION_BYTES
+            self._relabel = relabel
+        return self._relabel
+
+    def last_access(self, site: int) -> Tuple[int, int]:
+        """(step, event position) of the last event at ``site``."""
+        last = self.trace.last_steps()
+        return max((last[tid], pos) for tid, pos in self.sites[site])
+
+    def summary(self, site: int, probe: _Probe[_S]) -> Optional[_Summary[_S]]:
+        """``probe`` run on ``site``'s own event stream (cached per trace).
+
+        The stream carries stand-ins — site 0, and target ``i`` for the
+        i-th distinct real target — so one summary serves every layout
+        that gives the site the same templates, senses and target
+        equalities.  None when the site's templates leave from more than
+        one source, which has no single stream to summarise.
+        """
+        targets: Dict[int, int] = {}
+        signature: List[Tuple[int, int, bool, int]] = []
+        for tid, pos in self.sites[site]:
+            kind, _site, target, taken = self.compiled[tid].events[pos]
+            signature.append((tid, kind, taken, targets.setdefault(target, len(targets))))
+        trace = self.trace
+
+        def build() -> Optional[_S]:
+            sources = {template_source(trace.templates[tid]) for tid, *_ in signature}
+            source = sources.pop() if len(sources) == 1 else None
+            if source is None:
+                return None
+            stand_in = {tid: (kind, 0, target, taken) for tid, kind, taken, target in signature}
+            if len(stand_in) == 1:  # one template: one event, repeated
+                ((tid, event),) = stand_in.items()
+                return probe([event], trace.counts[tid] - 1)
+            stream: Iterable[int] = trace.source_streams()[source]
+            if len(stand_in) < len(trace.sources()[source]):
+                stream = filter(stand_in.__contains__, stream)
+            return probe(list(map(stand_in.__getitem__, stream)), 0)
+
+        result = trace.summary((probe, tuple(signature)), build)
+        return None if result is None else (result, list(targets))
+
+    def rest(self, sites: Iterable[int]) -> _Rest:
+        """The events at ``sites``, grouped by template in step order."""
+        picked: Dict[int, List[int]] = {}
+        for site in sites:
+            for tid, pos in self.sites[site]:
+                picked.setdefault(tid, []).append(pos)
+        return {
+            tid: tuple(self.compiled[tid].events[pos] for pos in sorted(positions))
+            for tid, positions in picked.items()
+        }
 
 
-def _serve_static(sim: Any, agg: _Aggregates, trace: DecisionTrace) -> None:
+# -- aggregate tier ------------------------------------------------------
+
+
+def _serve_ras(ras: ReturnStack, layout: _Layout) -> int:
+    """Apply the layout's calls and returns to ``ras``; returns mispredicts."""
+    pops, correct = ras.pops, ras.correct
+    if ras.empty:
+        ras.adopt(layout.trace.ras_run(ras.depth), layout.relabel())
+    else:
+        layout.trace.ras_walk(ras, layout.relabel())
+    return (ras.pops - pops) - (ras.correct - correct)
+
+
+def _serve_unconditional(sim: BranchArchSim, layout: _Layout) -> None:
+    """Static/PHT penalties of every event but conditionals (section 6)."""
+    kinds = layout.kinds
+    sim.counts.misfetches += kinds[tr.UNCOND] + kinds[tr.CALL]
+    sim.counts.mispredicts += (
+        kinds[tr.ICALL] + kinds[tr.INDIRECT] + _serve_ras(sim.ras, layout)
+    )
+
+
+def _serve_static(sim: BranchArchSim, layout: _Layout) -> None:
     """Apply a whole replay to a stateless-per-site static predictor.
 
-    Uses the sim's own ``predict_cond`` once per site (the prediction is
-    layout-adjusted — BT/FNT reads the layout's taken target, likely
-    bits flip with inversions) and the trace's return-stack statistics,
-    which are layout-invariant (see :meth:`DecisionTrace.ras_stats`).
+    Uses the sim's own ``predict_cond`` once per site: the prediction is
+    layout-adjusted (BT/FNT reads the layout's taken target, likely bits
+    flip with inversions) but fixed for the whole run.
     """
     counts = sim.counts
-    predict = sim.predict_cond
-    correct = 0
-    misfetches = 0
-    mispredicts = 0
-    for site, (visits, taken) in agg.cond_sites.items():
-        if predict(site):
-            correct += taken
-            misfetches += taken
-            mispredicts += visits - taken
+    for site, (visits, taken) in layout.cond_sites.items():
+        counts.cond_executed += visits
+        if sim.predict_cond(site):
+            counts.cond_correct += taken
+            counts.misfetches += taken
+            counts.mispredicts += visits - taken
         else:
-            correct += visits - taken
-            mispredicts += taken
-    pushes, pops, ras_correct = trace.ras_stats(sim.ras.depth)
-    counts.cond_executed += agg.cond_executed
-    counts.cond_correct += correct
-    counts.misfetches += misfetches + agg.uncond_events + agg.call_events
-    counts.mispredicts += (
-        mispredicts
-        + agg.icall_events
-        + agg.indirect_events
-        + (pops - ras_correct)
-    )
-    ras = sim.ras
-    ras.pushes += pushes
-    ras.pops += pops
-    ras.correct += ras_correct
+            counts.cond_correct += visits - taken
+            counts.mispredicts += taken
+    _serve_unconditional(sim, layout)
 
-
-# -- inlined fast consumers -------------------------------------------
-
-
-class _DirectPHTFeed:
-    """DirectMappedPHT.on_event inlined over realised event chunks."""
-
-    def __init__(self, sim: DirectMappedPHT):
-        self.sim = sim
-
-    def feed(self, chunk: List[Tuple[int, int, int, bool]]) -> None:
-        sim = self.sim
-        counts = sim.counts
-        table = sim.table
-        counters = table.counters
-        mask = table.mask
-        push = sim.ras.push
-        pop = sim.ras.pop_predict
-        mis = counts.misfetches
-        mp = counts.mispredicts
-        ce = counts.cond_executed
-        cc = counts.cond_correct
-        for kind, site, target, taken in chunk:
-            if kind == 0:  # COND
-                ce += 1
-                index = (site >> 2) & mask
-                value = counters[index]
-                if taken:
-                    if value < 3:
-                        counters[index] = value + 1
-                    if value >= 2:
-                        cc += 1
-                        mis += 1
-                    else:
-                        mp += 1
-                else:
-                    if value > 0:
-                        counters[index] = value - 1
-                    if value >= 2:
-                        mp += 1
-                    else:
-                        cc += 1
-            elif kind == 1:  # UNCOND
-                mis += 1
-            elif kind == 3:  # CALL
-                mis += 1
-                push(site + 4)
-            elif kind == 4:  # ICALL
-                mp += 1
-                push(site + 4)
-            elif kind == 2:  # INDIRECT
-                mp += 1
-            else:  # RET
-                if not pop(target):
-                    mp += 1
-        counts.misfetches = mis
-        counts.mispredicts = mp
-        counts.cond_executed = ce
-        counts.cond_correct = cc
-
-
-class _CorrelationPHTFeed:
-    """CorrelationPHT (gshare) inlined over realised event chunks."""
-
-    def __init__(self, sim: CorrelationPHT):
-        self.sim = sim
-
-    def feed(self, chunk: List[Tuple[int, int, int, bool]]) -> None:
-        sim = self.sim
-        counts = sim.counts
-        table = sim.table
-        counters = table.counters
-        mask = table.mask
-        history = sim.history
-        history_mask = sim.history_mask
-        push = sim.ras.push
-        pop = sim.ras.pop_predict
-        mis = counts.misfetches
-        mp = counts.mispredicts
-        ce = counts.cond_executed
-        cc = counts.cond_correct
-        for kind, site, target, taken in chunk:
-            if kind == 0:  # COND
-                ce += 1
-                index = ((site >> 2) ^ history) & mask
-                value = counters[index]
-                if taken:
-                    if value < 3:
-                        counters[index] = value + 1
-                    history = ((history << 1) | 1) & history_mask
-                    if value >= 2:
-                        cc += 1
-                        mis += 1
-                    else:
-                        mp += 1
-                else:
-                    if value > 0:
-                        counters[index] = value - 1
-                    history = (history << 1) & history_mask
-                    if value >= 2:
-                        mp += 1
-                    else:
-                        cc += 1
-            elif kind == 1:  # UNCOND
-                mis += 1
-            elif kind == 3:  # CALL
-                mis += 1
-                push(site + 4)
-            elif kind == 4:  # ICALL
-                mp += 1
-                push(site + 4)
-            elif kind == 2:  # INDIRECT
-                mp += 1
-            else:  # RET
-                if not pop(target):
-                    mp += 1
-        sim.history = history
-        counts.misfetches = mis
-        counts.mispredicts = mp
-        counts.cond_executed = ce
-        counts.cond_correct = cc
-
-
-class _BTBFeed:
-    """BTBSim.on_event (with BTB.lookup/insert) inlined over chunks."""
-
-    def __init__(self, sim: BTBSim):
-        self.sim = sim
-
-    def feed(self, chunk: List[Tuple[int, int, int, bool]]) -> None:
-        sim = self.sim
-        counts = sim.counts
-        btb = sim.btb
-        sets = btb._sets
-        nsets = btb.sets
-        assoc = btb.assoc
-        clock = btb._clock
-        hits = btb.hits
-        misses = btb.misses
-        make_entry = _BTBEntry
-        push = sim.ras.push
-        pop = sim.ras.pop_predict
-        mis = counts.misfetches
-        mp = counts.mispredicts
-        ce = counts.cond_executed
-        cc = counts.cond_correct
-        for kind, site, target, taken in chunk:
-            if kind == 5:  # RET — no BTB traffic
-                if not pop(target):
-                    mp += 1
-                continue
-            clock += 1
-            bucket = sets[(site >> 2) % nsets]
-            entry = bucket.get(site)
-            if kind == 0:  # COND
-                ce += 1
-                if entry is not None:
-                    hits += 1
-                    entry.stamp = clock
-                    predicted = entry.counter >= 2
-                    if taken:
-                        if entry.counter < 3:
-                            entry.counter += 1
-                        entry.target = target
-                    elif entry.counter > 0:
-                        entry.counter -= 1
-                else:
-                    misses += 1
-                    predicted = False
-                    if taken:
-                        clock += 1
-                        if len(bucket) >= assoc:
-                            victim = min(bucket, key=lambda tag: bucket[tag].stamp)
-                            del bucket[victim]
-                        bucket[site] = make_entry(target, 2, clock)
-                if predicted == taken:
-                    cc += 1
-                else:
-                    mp += 1
-            elif kind == 1 or kind == 3:  # UNCOND / CALL
-                if entry is None:
-                    misses += 1
-                    mis += 1
-                    clock += 1
-                    if len(bucket) >= assoc:
-                        victim = min(bucket, key=lambda tag: bucket[tag].stamp)
-                        del bucket[victim]
-                    bucket[site] = make_entry(target, 2, clock)
-                else:
-                    hits += 1
-                    entry.stamp = clock
-                if kind == 3:
-                    push(site + 4)
-            else:  # ICALL / INDIRECT
-                if entry is None:
-                    misses += 1
-                    mp += 1
-                    clock += 1
-                    if len(bucket) >= assoc:
-                        victim = min(bucket, key=lambda tag: bucket[tag].stamp)
-                        del bucket[victim]
-                    bucket[site] = make_entry(target, 2, clock)
-                else:
-                    hits += 1
-                    entry.stamp = clock
-                    if entry.target != target:
-                        mp += 1
-                        entry.target = target
-                if kind == 4:
-                    push(site + 4)
-        btb._clock = clock
-        btb.hits = hits
-        btb.misses = misses
-        counts.misfetches = mis
-        counts.mispredicts = mp
-        counts.cond_executed = ce
-        counts.cond_correct = cc
-
-
-class _GenericFeed:
-    """Faithful per-event feed for listeners outside the fast tiers."""
-
-    def __init__(self, listener: EventListener):
-        self.on_event = listener.on_event
-
-    def feed(self, chunk: List[Event]) -> None:
-        cb = self.on_event
-        for event in chunk:
-            cb(event)
-
-
-#: Exact listener type -> inlined feed constructor (see module docstring).
-_FAST_FEEDS: Dict[type, Callable[[Any], Any]] = {
-    DirectMappedPHT: _DirectPHTFeed,
-    CorrelationPHT: _CorrelationPHTFeed,
-    BTBSim: _BTBFeed,
-}
 
 _AGGREGATE_TYPES = (FallthroughSim, BTFNTSim, LikelySim)
+
+
+# -- slot tier -----------------------------------------------------------
+
+
+def _fast_forward(
+    feed: Callable[[Iterable[Event]], None],
+    events: List[Event],
+    repeats: int,
+    observe: Callable[[], object],
+    tally: Callable[[], Tuple[int, ...]],
+) -> Tuple[int, ...]:
+    """Feed ``events`` and ``repeats`` more copies of the last one.
+
+    ``observe`` reads every piece of predictor state an event's outcome
+    depends on, ``tally`` the predictor's running totals.  Once a copy
+    leaves the observed state unchanged, every further copy repeats its
+    effect, so the rest are added as a multiple of it instead of being
+    fed.  Returns the final totals.
+    """
+    feed(events)
+    skipped = [0] * len(tally())
+    while repeats:
+        state, before = observe(), tally()
+        feed(events[-1:])
+        repeats -= 1
+        if observe() == state:
+            skipped = [repeats * (after - was) for after, was in zip(tally(), before)]
+            break
+    return tuple(total + extra for total, extra in zip(tally(), skipped))
+
+
+def _counts_tally(counts: PenaltyCounts) -> Tuple[int, ...]:
+    return (counts.misfetches, counts.mispredicts, counts.cond_executed, counts.cond_correct)
+
+
+def _pht_probe(events: List[Event], repeats: int) -> Tuple[PenaltyCounts, int, int]:
+    """A fresh per-site PHT over one site: counts, start and final counter."""
+    probe = DirectMappedPHT(1)
+    counters = probe.table.counters
+    start = counters[0]
+    totals = _fast_forward(
+        probe.feed, events, repeats, lambda: counters[0], lambda: _counts_tally(probe.counts)
+    )
+    return PenaltyCounts(*totals), start, counters[0]
+
+
+def _btb_probe(
+    events: List[Event], repeats: int
+) -> Tuple[PenaltyCounts, int, int, int, Optional[_BTBEntry]]:
+    """A fresh BTB over one site: counts, hits, misses, clock ticks, entry."""
+    probe = BTBSim(1, 1)
+    btb = probe.btb
+    bucket = btb._sets[0]
+
+    def observe() -> object:
+        entry = bucket.get(0)
+        return None if entry is None else (entry.target, entry.counter)
+
+    def tally() -> Tuple[int, ...]:
+        return _counts_tally(probe.counts) + (btb.hits, btb.misses, btb._clock)
+
+    *totals, hits, misses, ticks = _fast_forward(probe.feed, events, repeats, observe, tally)
+    return PenaltyCounts(*totals), hits, misses, ticks, bucket.get(0)
+
+
+def _pht_slots(sim: DirectMappedPHT, layout: _Layout) -> _Rest:
+    """Answer every single-site counter at power-up from its summary.
+
+    Returns the conditional events of the other counters' sites.
+    """
+    counters = sim.table.counters
+    by_slot: Dict[int, List[int]] = {}
+    for site in layout.cond_sites:
+        by_slot.setdefault(sim.slot(site), []).append(site)
+    shared: List[int] = []
+    for slot, sites in by_slot.items():
+        summary = layout.summary(sites[0], _pht_probe) if len(sites) == 1 else None
+        if summary is None or counters[slot] != summary[0][1]:
+            shared.extend(sites)
+            continue
+        counts, _start, final = summary[0]
+        sim.counts.add(counts)
+        counters[slot] = final
+    return layout.rest(shared)
+
+
+def _btb_sets(sim: BTBSim, layout: _Layout) -> _Rest:
+    """Answer every empty set with no more sites than ways from summaries.
+
+    Such a set never evicts, so each site's entry evolves alone; the
+    entries are written back with stamps in the sites' last-access
+    order, and the clock advances by exactly the ticks the events
+    would have taken.  Returns the events of every other set's sites.
+    """
+    btb = sim.btb
+    by_set: Dict[int, List[int]] = {}
+    for site in layout.sites:
+        by_set.setdefault(btb.set_index(site), []).append(site)
+    clock = btb._clock
+    shared: List[int] = []
+    for index, sites in by_set.items():
+        bucket = btb._sets[index]
+        summaries = [] if bucket or len(sites) > btb.assoc else [
+            layout.summary(site, _btb_probe) for site in sites
+        ]
+        if not summaries or None in summaries:
+            shared.extend(sites)
+            continue
+        present: List[Tuple[Tuple[int, int], int, _BTBEntry, int]] = []
+        for site, summary in zip(sites, summaries):
+            assert summary is not None
+            (counts, hits, misses, ticks, entry), targets = summary
+            sim.counts.add(counts)
+            btb.hits += hits
+            btb.misses += misses
+            btb._clock += ticks
+            if entry is not None:
+                present.append((layout.last_access(site), site, entry, targets[entry.target]))
+        present.sort()
+        for rank, (_last, site, entry, target) in enumerate(present, 1):
+            bucket[site] = _BTBEntry(target, entry.counter, clock + rank)
+    return layout.rest(shared)
+
+
+# -- feed and faithful tiers ----------------------------------------------
+
+
+def _feed_without_ras(sim: BTBSim) -> Callable[[Iterable[Event]], None]:
+    """``sim.feed`` pushing calls to a scratch stack: the aggregate tier
+    already served the sim's own return stack."""
+
+    def feed(events: Iterable[Event]) -> None:
+        ras = sim.ras
+        sim.ras = ReturnStack(ras.depth)
+        try:
+            sim.feed(events)
+        finally:
+            sim.ras = ras
+
+    return feed
+
+
+def _per_event(on_event: Callable[[Event], None]) -> Callable[[Iterable[Event]], None]:
+    def feed(events: Iterable[Event]) -> None:
+        for event in events:
+            on_event(event)
+
+    return feed
+
+
+#: ``feed`` kernels that follow the static/PHT penalty rules for every
+#: event but conditionals, so they need only their conditional events.
+_COND_FEEDS = (BranchArchSim.feed, DirectMappedPHT.feed, CorrelationPHT.feed)
 
 
 def run_architectures(
@@ -572,52 +562,51 @@ def run_architectures(
 
     Returns ``(instructions, events, cond_executed, cond_taken)`` — the
     stream totals the :class:`SimulationReport` header wants.  Each sim
-    is served by the cheapest faithful tier its exact type allows; a
-    ``max_events`` cap forces the fully faithful path because aggregate
-    totals have no notion of a mid-stream cut.
+    is served by the cheapest faithful tier its methods allow (see the
+    module docstring); a ``max_events`` cap forces the fully faithful
+    path because aggregate totals have no notion of a mid-stream cut.
     """
     if max_events is not None:
-        executed = 0
-        taken = 0
+        mix = CondMixListener()
+        result = replay(linked, trace, listeners=[*sims, mix], max_events=max_events)
+        return result.instructions, result.events, mix.executed, mix.taken
 
-        class _Mix:
-            def on_event(self, event: Event) -> None:
-                nonlocal executed, taken
-                if event[0] == 0:
-                    executed += 1
-                    if event[3]:
-                        taken += 1
-
-        result = replay(
-            linked, trace, listeners=list(sims) + [_Mix()], max_events=max_events
-        )
-        return result.instructions, result.events, executed, taken
-
-    compiled = compile_steps(linked, trace)
-    agg = _Aggregates(linked, trace, compiled)
-
-    feeds: List[Any] = []
+    layout = _Layout(linked, trace, compile_steps(linked, trace))
+    pending: List[Tuple[Callable[[Iterable[Event]], None], _Rest]] = []
     for sim in sims:
-        # Exact-type dispatch: subclasses (tournament, local-history PHTs)
-        # override update rules and must fall through to the generic tier.
-        sim_type = type(sim)
-        if sim_type in _AGGREGATE_TYPES:
-            _serve_static(sim, agg, trace)
-        elif sim_type in _FAST_FEEDS:
-            feeds.append(_FAST_FEEDS[sim_type](sim))
+        cls = type(sim)
+        on_event = getattr(cls, "on_event", None)
+        if cls in _AGGREGATE_TYPES:
+            _serve_static(sim, layout)
+        elif on_event is BranchArchSim.on_event and cls.feed in _COND_FEEDS:
+            _serve_unconditional(sim, layout)
+            if cls.feed is DirectMappedPHT.feed:
+                pending.append((sim.feed, _pht_slots(sim, layout)))
+            else:
+                pending.append((sim.feed, layout.cond_events))
+        elif on_event is BTBSim.on_event and cls.feed is BTBSim.feed:
+            sim.counts.mispredicts += _serve_ras(sim.ras, layout)
+            pending.append((_feed_without_ras(sim), _btb_sets(sim, layout)))
         else:
-            feeds.append(_GenericFeed(sim))
+            every = {tid: step.events for tid, step in enumerate(layout.compiled) if step.events}
+            pending.append((_per_event(sim.on_event), every))
 
-    if feeds:
-        events_of = [step.events for step in compiled]
-        for chunk in trace.iter_chunks():
-            realized: List[Tuple[int, int, int, bool]] = []
-            extend = realized.extend
-            for tid in chunk:
-                step_events = events_of[tid]
-                if step_events:
-                    extend(step_events)
-            for feed in feeds:
-                feed.feed(realized)
+    pending = [(feed, rest) for feed, rest in pending if rest]
+    if pending:
+        wanted = frozenset(chain.from_iterable(rest for _, rest in pending))
+        stream = trace.substream(wanted)
+        for feed, rest in pending:
+            tids: Iterable[int] = stream
+            if len(rest) < len(wanted):
+                tids = filter(rest.__contains__, stream)
+            if all(len(step_events) == 1 for step_events in rest.values()):
+                pick = {tid: step_events[0] for tid, step_events in rest.items()}
+                events: Iterable[Event] = map(pick.__getitem__, tids)  # no chain needed
+            else:
+                events = chain.from_iterable(map(rest.__getitem__, tids))
+            # Bounded lists, which the kernels walk fastest.
+            while chunk := list(islice(events, CHUNK_STEPS)):
+                feed(chunk)
 
-    return agg.instructions, agg.events, agg.cond_executed, agg.cond_taken
+    kinds = layout.kinds
+    return layout.instructions, layout.events, kinds[tr.COND], layout.cond_taken

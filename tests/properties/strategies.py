@@ -7,10 +7,12 @@ import hypothesis.strategies as st
 from repro.cfg import Program
 from repro.sim import trace as tr
 from repro.workloads import (
+    Call,
     IfElse,
     ProcedureTemplate,
     Straight,
     Switch,
+    VirtualCall,
     WhileLoop,
 )
 
@@ -45,15 +47,29 @@ def _switch(children):
     )
 
 
-constructs = st.recursive(
-    st.builds(Straight, size=st.integers(min_value=1, max_value=10)),
-    lambda children: st.one_of(
-        _if_else(children), _while_loop(children), _switch(children)
-    ),
-    max_leaves=10,
-)
+def _structured(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            _if_else(children), _while_loop(children), _switch(children)
+        ),
+        max_leaves=10,
+    )
+
+
+straights = st.builds(Straight, size=st.integers(min_value=1, max_value=10))
+
+constructs = _structured(straights)
 
 bodies = st.lists(constructs, min_size=1, max_size=4)
+
+#: The leaf procedures :func:`call_programs` calls.
+LEAVES = ("leaf0", "leaf1")
+
+calls = st.one_of(
+    st.builds(Call, callee=st.sampled_from(LEAVES)),
+    st.builds(VirtualCall, callees=st.just(list(LEAVES))),
+)
 
 
 @st.composite
@@ -62,6 +78,20 @@ def programs(draw) -> Program:
     body = draw(bodies)
     template = ProcedureTemplate("main", body, epilogue_size=draw(st.integers(1, 3)))
     return Program([template.lower()])
+
+
+@st.composite
+def call_programs(draw) -> Program:
+    """A random ``main`` calling two leaf procedures, directly and indirectly.
+
+    Calls sit anywhere in ``main``'s structure, loops included, so the
+    return stack sees real traffic.
+    """
+    body = draw(st.lists(_structured(st.one_of(straights, calls)), min_size=1, max_size=4))
+    procedures = [ProcedureTemplate("main", body, epilogue_size=draw(st.integers(1, 3))).lower()]
+    for name in LEAVES:
+        procedures.append(ProcedureTemplate(name, draw(bodies)).lower())
+    return Program(procedures)
 
 
 @st.composite

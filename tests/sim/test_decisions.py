@@ -191,12 +191,11 @@ class TestLoadOrCapture:
 
 class TestRasStats:
     def test_depth_cache_and_counts(self, trace):
-        stats = trace.ras_stats(32)
-        assert trace.ras_stats(32) is stats  # cached per depth
-        pushes, pops, correct = stats
-        assert 0 <= correct <= pops
+        run = trace.ras_run(32)
+        assert trace.ras_run(32) is run  # cached per depth
+        assert 0 <= run.correct <= run.pops
         # Every call returns, plus the final return from the entry proc.
-        assert pops == pushes + 1
+        assert run.pops == run.pushes + 1
 
     def test_visit_counts_cover_entry(self, program, trace):
         counts = trace.visit_counts(program)

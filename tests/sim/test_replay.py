@@ -88,9 +88,10 @@ def test_replay_event_stream_identical(diamond_program):
 
 
 def test_pht_subclasses_take_generic_path_and_still_match(loop_program):
-    """Tier dispatch is by exact type: subclasses must not inherit the
-    specialised fast feed (their overridden predict/update would be
-    skipped) — and the generic tier must still match execute."""
+    """Tier dispatch is by method identity: subclasses that override a
+    rule hook must not inherit the specialised kernel or its slot
+    decomposition (their overridden predict/update would be skipped) —
+    and the path they take must still match execute."""
     from repro.profiling import profile_program
 
     trace = capture_decisions(loop_program, seed=0)
@@ -199,3 +200,55 @@ class TestStreamModelConsistency:
         from repro.profiling.condmix import COND_KIND
 
         assert COND_KIND == tr.COND
+
+
+class TestBTBConflictFallback:
+    """sc's real conflict: BTB-64x2 sets that some layouts over-fill.
+
+    Sets touched by more sites than ways can evict, so replay must feed
+    their events through ``BTBSim.feed`` rather than answer them from
+    per-site summaries — and still match execute on every layout.
+    """
+
+    @staticmethod
+    def overfull_sets(linked, trace, btb):
+        from repro.sim.replay import compile_steps
+
+        sites = set()
+        for step, count in zip(compile_steps(linked, trace), trace.counts):
+            if count:
+                sites.update(site for kind, site, _t, _k in step.events if kind != tr.RET)
+        per_set = {}
+        for site in sites:
+            per_set.setdefault(btb.set_index(site), set()).add(site)
+        return [index for index, members in per_set.items() if len(members) > btb.assoc]
+
+    def test_fallback_fires_exactly_on_overfull_sets(self, monkeypatch):
+        from repro.oracle.oracle import alignment_layouts
+
+        program = generate_benchmark("sc", 0.1)
+        trace = capture_decisions(program, seed=0)
+        profile = trace.edge_profile(program)
+        layouts = {"orig": None, **alignment_layouts(program, profile)}
+
+        fed = []  # (sim, events fed); holding the sim keeps identities unique
+        real_feed = BTBSim.feed
+
+        def spying_feed(self, events):
+            events = list(events)
+            fed.append((self, len(events)))
+            real_feed(self, events)
+
+        monkeypatch.setattr(BTBSim, "feed", spying_feed)
+        conflicted = []
+        for label, layout in layouts.items():
+            linked = link_identity(program) if layout is None else link(layout)
+            sim = BTBSim(64, 2)
+            overfull = self.overfull_sets(linked, trace, sim.btb)
+            simulate(linked, profile, archs=[sim], seed=0, trace=trace, engine="replay")
+            fell_back = any(fed_sim is sim and n for fed_sim, n in fed)
+            assert fell_back == bool(overfull), label
+            if overfull:
+                conflicted.append(label)
+            simulate(linked, profile, seed=0, trace=trace, replay_check=True)
+        assert conflicted  # the regression needs at least one over-full set

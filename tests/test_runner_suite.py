@@ -130,3 +130,38 @@ class TestLegacyMode:
         experiments = run_suite_experiment(["compress"], scale=0.02, archs=ARCHS)
         assert [e.name for e in experiments] == ["compress"]
         assert "orig" in experiments[0].outcomes
+
+
+class TestReplayCheckEnvironment:
+    """``REPRO_REPLAY_CHECK=1`` reaches runner-driven and fabric units."""
+
+    @staticmethod
+    def count_executions(monkeypatch):
+        from repro.sim import metrics
+
+        calls = []
+        real = metrics._simulate_execute
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_simulate_execute", counting)
+        return calls
+
+    def test_runner_suite_honours_the_variable(self, monkeypatch):
+        calls = self.count_executions(monkeypatch)
+        run_suite_experiment(["compress"], scale=0.02, archs=ARCHS, runner=RunnerConfig())
+        assert not calls
+        monkeypatch.setenv("REPRO_REPLAY_CHECK", "1")
+        run_suite_experiment(["compress"], scale=0.02, archs=ARCHS, runner=RunnerConfig())
+        assert calls  # every simulated layout was also executed
+
+    def test_fabric_unit_honours_the_variable(self, monkeypatch):
+        # Fabric workers run exactly this function on each leased unit.
+        from repro.runner.runner import UnitTask, execute_unit
+
+        calls = self.count_executions(monkeypatch)
+        monkeypatch.setenv("REPRO_REPLAY_CHECK", "1")
+        execute_unit(UnitTask(kind="experiment", benchmark="compress", scale=0.02, archs=ARCHS))
+        assert calls
