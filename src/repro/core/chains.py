@@ -18,13 +18,19 @@ unconditional jump over giving it any fall-through successor — the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..cfg import BlockId, Procedure
 
 
 class ChainSet:
-    """Disjoint chains over the blocks of one procedure."""
+    """Disjoint chains over the blocks of one procedure.
+
+    Chain membership is kept as two maps, head-at-tail and tail-at-head,
+    so the feasibility test and a link are O(1): ``src`` may only be a
+    chain tail and ``dst`` a chain head, and they share a chain exactly
+    when ``src``'s chain starts at ``dst``.
+    """
 
     def __init__(self, proc: Procedure):
         self.proc = proc
@@ -32,19 +38,12 @@ class ChainSet:
         self.succ: Dict[BlockId, Optional[BlockId]] = {b: None for b in proc.blocks}
         self.pred: Dict[BlockId, Optional[BlockId]] = {b: None for b in proc.blocks}
         self.sealed: Set[BlockId] = set()
-        # Union-find over chain membership, with head/tail per root.
-        self._parent: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
-        self._head: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
-        self._tail: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
-
-    # ------------------------------------------------------------------
-    def _find(self, bid: BlockId) -> BlockId:
-        root = bid
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[bid] != root:
-            self._parent[bid], bid = root, self._parent[bid]
-        return root
+        self._alignable: FrozenSet[BlockId] = frozenset(
+            b for b in proc.blocks if proc.block(b).kind.alignable
+        )
+        # Every chain appears once in each map; a singleton maps to itself.
+        self._head_at_tail: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
+        self._tail_at_head: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
 
     # ------------------------------------------------------------------
     def can_link(self, src: BlockId, dst: BlockId) -> bool:
@@ -55,9 +54,10 @@ class ChainSet:
             return False
         if self.succ[src] is not None or self.pred[dst] is not None:
             return False
-        if not self.proc.block(src).kind.alignable:
+        if src not in self._alignable:
             return False
-        return self._find(src) != self._find(dst)
+        # src is a tail and dst a head: one chain iff it runs dst..src.
+        return self._head_at_tail[src] != dst
 
     def link(self, src: BlockId, dst: BlockId) -> None:
         """Make dst the layout fall-through of src (must be linkable)."""
@@ -65,40 +65,36 @@ class ChainSet:
             raise ValueError(f"cannot link {src} -> {dst}")
         self.succ[src] = dst
         self.pred[dst] = src
-        src_root, dst_root = self._find(src), self._find(dst)
-        head = self._head[src_root]
-        tail = self._tail[dst_root]
-        self._parent[dst_root] = src_root
-        self._head[src_root] = head
-        self._tail[src_root] = tail
+        head = self._head_at_tail.pop(src)
+        tail = self._tail_at_head.pop(dst)
+        self._head_at_tail[tail] = head
+        self._tail_at_head[head] = tail
 
     def unlink(self, src: BlockId) -> None:
         """Undo a link (used by the TryN backtracking search).
 
-        Splits src's chain after src; both halves keep correct head/tail
-        records.  Union-find parents are rebuilt for the two fragments.
+        Splits src's chain after src: src becomes the tail of the front
+        fragment and its old successor the head of the back one.
         """
         dst = self.succ[src]
         if dst is None:
             raise ValueError(f"{src} has no layout successor to unlink")
         self.succ[src] = None
         self.pred[dst] = None
-        # Rebuild the two fragments from scratch; fragments are short in
-        # practice, and correctness beats cleverness here.
-        for start in (self._chain_start(src), dst):
-            bid = start
-            prev: Optional[BlockId] = None
-            while bid is not None:
-                self._parent[bid] = start
-                prev = bid
-                bid = self.succ[bid]
-            self._head[start] = start
-            self._tail[start] = prev if prev is not None else start
+        head = self._chain_start(src)
+        tail = self._tail_at_head[head]
+        self._tail_at_head[head] = src
+        self._head_at_tail[src] = head
+        self._tail_at_head[dst] = tail
+        self._head_at_tail[tail] = dst
 
     def _chain_start(self, bid: BlockId) -> BlockId:
-        while self.pred[bid] is not None:
-            bid = self.pred[bid]
-        return bid
+        pred = self.pred
+        while True:
+            prev = pred[bid]
+            if prev is None:
+                return bid
+            bid = prev
 
     # ------------------------------------------------------------------
     def seal(self, bid: BlockId) -> None:
@@ -130,7 +126,8 @@ class ChainSet:
     def check(self) -> None:
         """Verify internal consistency (used by property tests)."""
         seen: Set[BlockId] = set()
-        for chain in self.chains():
+        chains = self.chains()
+        for chain in chains:
             for bid in chain:
                 if bid in seen:
                     raise AssertionError(f"block {bid} appears in two chains")
@@ -139,3 +136,8 @@ class ChainSet:
             raise AssertionError("chains do not cover all blocks")
         if self.pred[self.entry] is not None:
             raise AssertionError("entry block acquired a predecessor")
+        ends = {chain[0]: chain[-1] for chain in chains}
+        if self._tail_at_head != ends or self._head_at_tail != {
+            tail: head for head, tail in ends.items()
+        }:
+            raise AssertionError("chain head/tail records are stale")

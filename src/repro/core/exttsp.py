@@ -25,7 +25,11 @@ chains connected by profiled flow) with the largest positive score gain.
 Concatenation never changes intra-chain distances, so the gain of a
 merge is exactly the score of the edges crossing the two chains at their
 new relative offsets — edges between distinct chains score zero until a
-merge prices them in.  Distances are measured in source-block bytes;
+merge prices them in.  A pair's gain therefore depends only on its two
+chains: each is cached and repriced only when a merge replaces one of
+them, and a chain's score is summed in profile-edge order so every gain
+is the same float that rescoring the concatenation would give.
+Distances are measured in source-block bytes;
 link-time jump insertion can stretch a chain by a few instructions, an
 approximation the paper makes as well.
 
@@ -36,7 +40,7 @@ refinement runs and one layout serves every simulated architecture.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cfg import BlockId, Procedure, TerminatorKind
 from ..isa.encoder import INSTRUCTION_BYTES
@@ -80,6 +84,25 @@ def jump_score(distance: int, conditional: bool = True) -> float:
     return 0.0
 
 
+class _Chain:
+    """Merge bookkeeping for one chain, keyed by its head block."""
+
+    __slots__ = ("blocks", "edges", "score", "length", "cross")
+
+    def __init__(self, bid: BlockId, length: int) -> None:
+        self.blocks: List[BlockId] = [bid]
+        #: Indices into the weighted edge list of the edges with both
+        #: endpoints in the chain, ascending.
+        self.edges: List[int] = []
+        #: The objective over ``edges``, summed in index order.
+        self.score = 0.0
+        #: Total bytes of the chain's blocks.
+        self.length = length
+        #: Neighbouring chain head -> ascending indices of the edges
+        #: between the two chains (one list shared by both sides).
+        self.cross: Dict[BlockId, List[int]] = {}
+
+
 class ExtTSPAligner(Aligner):
     """Chain merging that maximises the extended-TSP objective."""
 
@@ -89,26 +112,6 @@ class ExtTSPAligner(Aligner):
         #: Edges below this execution count neither score nor drive
         #: merging; they are threaded by the shared cold-edge pass.
         self.min_weight = min_weight
-
-    # ------------------------------------------------------------------
-    def _chain_score(
-        self,
-        chain: List[BlockId],
-        sizes: Dict[BlockId, int],
-        edges: List[Tuple[BlockId, BlockId, int, bool]],
-    ) -> float:
-        """Score of the weighted edges with both endpoints in ``chain``."""
-        starts: Dict[BlockId, int] = {}
-        cursor = 0
-        for bid in chain:
-            starts[bid] = cursor
-            cursor += sizes[bid]
-        score = 0.0
-        for src, dst, weight, conditional in edges:
-            if src in starts and dst in starts:
-                distance = starts[dst] - (starts[src] + sizes[src])
-                score += weight * jump_score(distance, conditional)
-        return score
 
     # ------------------------------------------------------------------
     def build_chains(
@@ -128,6 +131,55 @@ class ExtTSPAligner(Aligner):
             (src, dst): weight * jump_score(0, cond)
             for src, dst, weight, cond in weighted
         }
+        # Per block: the head of its chain and its byte offset there.
+        head_of = {bid: bid for bid in proc.blocks}
+        offset = {bid: 0 for bid in proc.blocks}
+        live = {bid: _Chain(bid, sizes[bid]) for bid in proc.blocks}
+        # terms[i]: edge i's score term.  Once both ends share a chain it
+        # never changes, as concatenation keeps the distance; until then
+        # it holds the term priced for the last merge evaluated.
+        terms = [0.0] * len(weighted)
+
+        def term(index: int, shift_head: BlockId, shift: int) -> float:
+            """Edge ``index``'s term, blocks of ``shift_head`` moved by ``shift``."""
+            src, dst, weight, conditional = weighted[index]
+            start_src = offset[src] + (shift if head_of[src] == shift_head else 0)
+            start_dst = offset[dst] + (shift if head_of[dst] == shift_head else 0)
+            distance = start_dst - (start_src + sizes[src])
+            return weight * jump_score(distance, conditional)
+
+        def score_of(indices: List[int]) -> float:
+            # The same left-to-right sum, in the same edge order, that
+            # scoring the chain from scratch would compute.
+            score = 0.0
+            for index in indices:
+                score += terms[index]
+            return score
+
+        def pair_gain(first: BlockId, second: BlockId) -> Optional[Tuple[float, float]]:
+            """The gain of appending chain ``second`` to chain ``first``."""
+            left, right = live[first], live[second]
+            tail, head = left.blocks[-1], right.blocks[0]
+            if not chains.can_link(tail, head):
+                return None
+            cross = left.cross[second]
+            for index in cross:
+                terms[index] = term(index, second, left.length)
+            merged = score_of(sorted(left.edges + right.edges + cross))
+            total = merged - left.score - right.score
+            adjacency = junction.get((tail, head), 0.0)
+            return (adjacency, total - adjacency)
+
+        for index, (src, dst, _weight, _cond) in enumerate(weighted):
+            if src == dst:
+                terms[index] = term(index, src, 0)
+                live[src].edges.append(index)
+                live[src].score += terms[index]
+            elif dst in live[src].cross:
+                live[src].cross[dst].append(index)
+            else:
+                live[src].cross[dst] = live[dst].cross[src] = [index]
+
         # Greedy merging, best-gain-first.  The gain is lexicographic:
         # the junction's fall-through credit decides, and the
         # distance-decayed jump credits of every other cross edge only
@@ -135,38 +187,51 @@ class ExtTSPAligner(Aligner):
         # precedence a 3-point backward-jump credit can outvote a
         # 2-point fall-through difference, trading real fall-throughs
         # for short jumps — the opposite of what K's magnitudes intend.
+        gains: Dict[Tuple[BlockId, BlockId], Tuple[float, float]] = {}
+
+        def price(pairs: List[Tuple[BlockId, BlockId]]) -> None:
+            for pair in pairs:
+                gain = pair_gain(*pair)
+                if gain is not None:
+                    gains[pair] = gain
+
+        price([(head, other) for head in live for other in live[head].cross])
         while True:
-            heads: Dict[BlockId, BlockId] = {}
-            for chain in chains.chains():
-                for bid in chain:
-                    heads[bid] = chain[0]
-            linked: Dict[BlockId, List[BlockId]] = {
-                head: chains.chain_of(head) for head in set(heads.values())
-            }
-            pairs = set()
-            for src, dst, _weight, _cond in weighted:
-                if heads[src] != heads[dst]:
-                    pairs.add((heads[src], heads[dst]))
-                    pairs.add((heads[dst], heads[src]))
+            # The largest gain above zero; ties go to the smallest pair.
             best_gain = (0.0, 0.0)
-            best_pair: Tuple[BlockId, BlockId] | None = None
-            for first, second in sorted(pairs):
-                left, right = linked[first], linked[second]
-                if not chains.can_link(left[-1], right[0]):
-                    continue
-                total = (
-                    self._chain_score(left + right, sizes, weighted)
-                    - self._chain_score(left, sizes, weighted)
-                    - self._chain_score(right, sizes, weighted)
-                )
-                adjacency = junction.get((left[-1], right[0]), 0.0)
-                gain = (adjacency, total - adjacency)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (first, second)
+            best_pair: Optional[Tuple[BlockId, BlockId]] = None
+            for pair, gain in gains.items():
+                if gain > best_gain or (
+                    gain == best_gain and best_pair is not None and pair < best_pair
+                ):
+                    best_gain, best_pair = gain, pair
             if best_pair is None:
                 break
-            chains.link(linked[best_pair[0]][-1], linked[best_pair[1]][0])
+            first, second = best_pair
+            left, right = live[first], live.pop(second)
+            for head, chain in ((first, left), (second, right)):
+                for other in chain.cross:
+                    gains.pop((head, other), None)
+                    gains.pop((other, head), None)
+            chains.link(left.blocks[-1], right.blocks[0])
+            for bid in right.blocks:
+                head_of[bid] = first
+                offset[bid] += left.length
+            cross = left.cross.pop(second)
+            del right.cross[first]
+            for index in cross:
+                terms[index] = term(index, first, 0)
+            left.edges = sorted(left.edges + right.edges + cross)
+            left.score = score_of(left.edges)
+            left.blocks += right.blocks
+            left.length += right.length
+            for other, indices in right.cross.items():
+                neighbour = live[other].cross
+                del neighbour[second]
+                if other in left.cross:
+                    indices = sorted(left.cross[other] + indices)
+                left.cross[other] = neighbour[first] = indices
+            price([p for other in left.cross for p in ((first, other), (other, first))])
         # Thread the cold remainder exactly like every other algorithm.
         greedy_link_pass(chains, proc, profile, min_weight=0)
         return chains, {}

@@ -40,7 +40,7 @@ from .align import Aligner, OriginalAligner
 from .disptree import DispTreeAligner
 from .exttsp import ExtTSPAligner
 from .greedy import GreedyAligner
-from .tryn import TryNAligner
+from .tryn import SharedSearch, TryNAligner
 
 #: Which simulated architectures each per-model TryN search serves.
 TRY_MODEL_ARCHS: Dict[str, Tuple[str, ...]] = {
@@ -249,6 +249,10 @@ def _greedy_variants(request: PlanRequest) -> Sequence[AlignerVariant]:
 def _tryn_variants(request: PlanRequest) -> Sequence[AlignerVariant]:
     """One windowed search per architecture cost model (paper section 4)."""
     variants: List[AlignerVariant] = []
+    # The BT/FNT variant searches with the LIKELY model (see
+    # TryNAligner.for_architecture), so it and the LIKELY variant share
+    # one search and differ only in sense refinement.
+    likely_search = SharedSearch()
     for model, served in TRY_MODEL_ARCHS.items():
         wanted = tuple(a for a in served if a in request.archs)
         if not wanted:
@@ -256,6 +260,8 @@ def _tryn_variants(request: PlanRequest) -> Sequence[AlignerVariant]:
         aligner = TryNAligner.for_architecture(
             model, window=request.window, min_weight=request.min_weight
         )
+        if aligner.model.name == "likely":
+            aligner.shared = likely_search
         variants.append(
             AlignerVariant(f"try{request.window}-{model}", aligner, wanted)
         )

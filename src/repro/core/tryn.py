@@ -34,6 +34,50 @@ class _SearchBudget(Exception):
     """Raised internally when the state cap is exhausted."""
 
 
+#: A search result: the chains and the jump preferences of sealed blocks.
+_Chains = Tuple[ChainSet, Dict[BlockId, BlockId]]
+
+
+class SharedSearch:
+    """One TryN search's chains, handed from the aligner that ran it to the
+    aligner that would run it again.
+
+    ``try15-btfnt`` and ``try15-likely`` search with the same LIKELY
+    model, window, ``min_weight`` and state cap, and differ only in the
+    sense refinement applied to the chains afterwards.  The registry gives
+    both one instance: the first to meet a (procedure, profile) searches,
+    the second takes the stored chains.  An entry is dropped when it is
+    taken, and a new profile drops every entry, so the cache holds at
+    most one program's chains and lives only as long as the plan owning
+    its aligners.
+    """
+
+    def __init__(self) -> None:
+        self._profile: Optional[EdgeProfile] = None
+        self._found: Dict[Tuple[Procedure, Tuple[object, ...]], _Chains] = {}
+
+    def take(
+        self, proc: Procedure, profile: EdgeProfile, search: Tuple[object, ...]
+    ) -> Optional[_Chains]:
+        """The stored result of this exact search, removed from the cache."""
+        if profile is not self._profile:
+            return None
+        return self._found.pop((proc, search), None)
+
+    def put(
+        self,
+        proc: Procedure,
+        profile: EdgeProfile,
+        search: Tuple[object, ...],
+        found: _Chains,
+    ) -> None:
+        """Store one search's result for the next aligner running it."""
+        if profile is not self._profile:
+            self._profile = profile
+            self._found = {}
+        self._found[(proc, search)] = found
+
+
 class TryNAligner(Aligner):
     """Windowed exhaustive alignment search ("Try15" with window=15)."""
 
@@ -44,7 +88,7 @@ class TryNAligner(Aligner):
         min_weight: int = 2,
         max_states: int = 100_000,
         chain_order: str = "weight",
-        refine_model: "ArchModel" = None,
+        refine_model: Optional[ArchModel] = None,
     ):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -55,6 +99,8 @@ class TryNAligner(Aligner):
         self.chain_order = chain_order
         self.refine_model = refine_model
         self.name = f"try{window}"
+        #: Set by the registry when another aligner runs the same search.
+        self.shared: Optional[SharedSearch] = None
 
     @classmethod
     def for_architecture(
@@ -91,10 +137,21 @@ class TryNAligner(Aligner):
         )
 
     # ------------------------------------------------------------------
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> _Chains:
         """Window the hot edges and search each window exhaustively."""
+        if self.shared is None:
+            return self._search(proc, profile)
+        search = (
+            type(self.model), self.model.costs,
+            self.window, self.min_weight, self.max_states,
+        )
+        found = self.shared.take(proc, profile, search)
+        if found is None:
+            found = self._search(proc, profile)
+            self.shared.put(proc, profile, search, found)
+        return found
+
+    def _search(self, proc: Procedure, profile: EdgeProfile) -> _Chains:
         chains = ChainSet(proc)
         retreating = proc.cyclic_edge_pairs()
         jump_prefs: Dict[BlockId, BlockId] = {}
@@ -153,45 +210,46 @@ class TryNAligner(Aligner):
             cheapest = min(o.cost for o in per_node[i]) if per_node[i] else 0.0
             suffix[i] = suffix[i + 1] + cheapest
 
-        best_cost = [float("inf")]
+        max_states = self.max_states
+        last = len(nodes)
+        can_link, link, unlink = chains.can_link, chains.link, chains.unlink
+        best_cost = float("inf")
         best_assign: List[Optional[List[AlignmentOption]]] = [None]
         current: List[AlignmentOption] = []
-        states = [0]
+        states = 0
 
         def dfs(idx: int, acc: float) -> None:
-            states[0] += 1
-            if states[0] > self.max_states:
+            nonlocal best_cost, states
+            states += 1
+            if states > max_states:
                 raise _SearchBudget
-            if acc + suffix[idx] >= best_cost[0]:
+            if acc + suffix[idx] >= best_cost:
                 return
-            if idx == len(nodes):
-                best_cost[0] = acc
+            if idx == last:
+                best_cost = acc
                 best_assign[0] = list(current)
                 return
             bid = nodes[idx]
             for option in per_node[idx]:
+                current.append(option)
                 if option.kind == "link":
-                    assert option.target is not None
-                    if not chains.can_link(bid, option.target):
-                        continue
-                    chains.link(bid, option.target)
-                    current.append(option)
-                    try:
+                    target = option.target
+                    assert target is not None
+                    if can_link(bid, target):
+                        link(bid, target)
                         dfs(idx + 1, acc + option.cost)
-                    finally:
-                        current.pop()
-                        chains.unlink(bid)
+                        unlink(bid)
                 else:
-                    current.append(option)
-                    try:
-                        dfs(idx + 1, acc + option.cost)
-                    finally:
-                        current.pop()
+                    dfs(idx + 1, acc + option.cost)
+                current.pop()
 
         try:
             dfs(0, 0.0)
         except _SearchBudget:
-            pass
+            # Undo the tentative links of the descent the cap cut short.
+            for bid, option in reversed(list(zip(nodes, current))):
+                if option.kind == "link":
+                    unlink(bid)
         assign = best_assign[0]
         if assign is None:
             # Degenerate: even the first descent exceeded the cap.  Fall

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core import GreedyAligner, TryNAligner, make_model
+from repro.core import GreedyAligner, TryNAligner, get_spec, make_model
 from repro.isa import link, link_identity
 from repro.profiling import profile_program
 from repro.workloads import (
     FIGURE3_ORIGINAL_COST,
     figure3_program,
+    generate_benchmark,
 )
 from tests.conftest import diamond_procedure, loop_procedure
 
@@ -123,3 +124,56 @@ class TestForArchitecture:
 
     def test_window_forwarded(self):
         assert TryNAligner.for_architecture("pht", window=10).window == 10
+
+
+class TestSharedLikelySearch:
+    """try15-btfnt and try15-likely run the LIKELY search once."""
+
+    def _count_searches(self, monkeypatch):
+        calls = []
+        search = TryNAligner._search
+
+        def counted(self, proc, profile):
+            calls.append((self.refine_model, proc.name))
+            return search(self, proc, profile)
+
+        monkeypatch.setattr(TryNAligner, "_search", counted)
+        return calls
+
+    def test_one_search_per_procedure_and_profile(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        program = generate_benchmark("eqntott", 0.05)
+        profile = profile_program(program)
+        btfnt, likely = get_spec("try15").plan(("btfnt", "likely")).variants
+        assert btfnt.aligner.shared is likely.aligner.shared is not None
+        btfnt.aligner.align(program, profile)
+        likely.aligner.align(program, profile)
+        assert len(calls) == len(program.procedures)
+        # Taking an entry drops it: nothing outlives the pair of passes.
+        assert not likely.aligner.shared._found
+
+    def test_new_profile_is_a_new_search(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        program = generate_benchmark("eqntott", 0.05)
+        btfnt, likely = get_spec("try15").plan(("btfnt", "likely")).variants
+        btfnt.aligner.align(program, profile_program(program, seed=0))
+        other = profile_program(program, seed=1)
+        layout = likely.aligner.align(program, other)
+        assert len(calls) == 2 * len(program.procedures)
+        alone = TryNAligner.for_architecture("likely").align(program, other)
+        for proc in program:
+            assert layout[proc.name].placements == alone[proc.name].placements
+
+    def test_other_models_search_alone(self):
+        plan = get_spec("try15").plan(("fallthrough", "pht-direct", "btb-64x2"))
+        assert all(v.aligner.shared is None for v in plan.variants)
+
+    def test_mismatched_search_is_not_shared(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        program = generate_benchmark("eqntott", 0.05)
+        profile = profile_program(program)
+        btfnt, likely = get_spec("try15").plan(("btfnt", "likely")).variants
+        likely.aligner.max_states = 10
+        btfnt.aligner.align(program, profile)
+        likely.aligner.align(program, profile)
+        assert len(calls) == 2 * len(program.procedures)
