@@ -1174,7 +1174,7 @@ def _estimator_agreements(name: str, scale: float, seed: int) -> list:
     profile = trace.edge_profile(program)
     linked = link_identity(program)
     estimate = estimate_costs(linked, profile)
-    report = simulate(linked, profile, seed=seed, trace=trace, engine="replay")
+    report = simulate(linked, profile, seed=seed, trace=trace)
     return cross_validate(estimate, report)
 
 
@@ -1194,8 +1194,8 @@ def _replay_checks(name: str, scale: float, seed: int, window: int) -> list:
         linked_images[label] = link(layout)
     rows = []
     for label, linked in linked_images.items():
-        replayed = simulate(linked, profile, seed=seed, trace=trace, engine="replay")
-        executed = simulate(linked, profile, seed=seed, engine="execute")
+        replayed = simulate(linked, profile, seed=seed, trace=trace)
+        executed = simulate(linked, profile, seed=seed)
         rows.append((label, replayed == executed, len(replayed.arch)))
     return rows
 

@@ -34,7 +34,7 @@ from ..cfg import Program
 from ..core.registry import ALIGNER_KEYS, TRY_MODEL_ARCHS, plan_algorithms
 from ..isa.encoder import LinkedProgram, link, link_identity
 from ..isa.layout import ProgramLayout
-from ..profiling import EdgeProfile, profile_program
+from ..profiling import EdgeProfile
 from ..sim.decisions import DecisionTrace, load_or_capture
 from ..sim.metrics import ALL_ARCHS, SimulationReport, simulate
 from ..sim.predictors import (
@@ -147,7 +147,6 @@ def run_benchmark_experiment(
     archs: Sequence[str] = ALL_ARCHS,
     profile: Optional[EdgeProfile] = None,
     validate: bool = False,
-    engine: str = "replay",
     trace: Optional[DecisionTrace] = None,
     trace_store: Optional[object] = None,
     replay_check: Optional[bool] = None,
@@ -170,14 +169,12 @@ def run_benchmark_experiment(
     plans its variants for ``archs``; architectures it cannot serve land
     in :attr:`BenchmarkExperiment.skips` with the registry's reason.
 
-    With the default ``engine="replay"`` the workload's decisions are
-    captured **once** (or loaded from ``trace_store``/``trace``) and
-    replayed through every layout — N aligned binaries cost one
-    execution.  The edge profile then comes straight from the trace (bit
-    for bit what a profiling run records).  ``engine="execute"`` keeps
-    the legacy one-execution-per-layout path for one release;
-    ``replay_check`` (or ``REPRO_REPLAY_CHECK=1``) runs both and asserts
-    identical reports.
+    The workload's decisions are captured **once** (or loaded from
+    ``trace_store``/``trace``) and replayed through every layout — N
+    aligned binaries cost one execution.  The edge profile then comes
+    straight from the trace (bit for bit what a profiling run records).
+    ``replay_check`` (or ``REPRO_REPLAY_CHECK=1``) also executes every
+    layout and asserts identical reports.
 
     ``profile_source`` selects what the *aligners* see: ``"measured"``
     (default) hands them the traced edge profile; ``"static"`` hands
@@ -198,15 +195,12 @@ def run_benchmark_experiment(
     else:
         category = SUITE[name].category if name in SUITE else "custom"
     archs = tuple(archs)
-    if engine == "replay":
-        if trace is None:
-            trace, _ = load_or_capture(
-                trace_store, program, workload=name, scale=scale, seed=seed
-            )
-        if profile is None:
-            profile = trace.edge_profile(program)
-    elif profile is None:
-        profile = profile_program(program, seed=seed)
+    if trace is None:
+        trace, _ = load_or_capture(
+            trace_store, program, workload=name, scale=scale, seed=seed
+        )
+    if profile is None:
+        profile = trace.edge_profile(program)
 
     if validate:
         from ..runner.validate import validate_profile
@@ -242,7 +236,6 @@ def run_benchmark_experiment(
         archs=make_arch_sims(archs, orig_linked, profile),
         seed=seed,
         trace=trace,
-        engine=engine,
         replay_check=replay_check,
     )
     base = orig_report.instructions
@@ -266,7 +259,6 @@ def run_benchmark_experiment(
                 archs=make_arch_sims(variant.archs, linked, profile),
                 seed=seed,
                 trace=trace,
-                engine=engine,
                 replay_check=replay_check,
             )
             bucket.update(_report_outcomes(report, variant.archs, base))
@@ -289,39 +281,28 @@ def run_suite_experiment(
     The run goes through :mod:`repro.runner`.  Without a ``runner``
     config it behaves as before — in-process, failing fast on the first
     error — but with invariant validation at every stage boundary.  Pass
-    a :class:`repro.runner.RunnerConfig` for subprocess isolation,
-    timeouts, retries and checkpoint/resume; lost benchmarks then raise
-    unless the config captures them, in which case use
-    :func:`repro.runner.run_suite_resilient` directly to also see the
-    failure records.  Pass a :class:`repro.fabric.FabricConfig` instead
-    to route the suite through the fault-tolerant fabric (durable lease
-    queue, supervised workers, poison quarantine); use
-    :func:`repro.fabric.run_fabric` directly for the full provenance.
+    a :class:`repro.runner.RunnerConfig` for retries and the pipeline's
+    judges (oracle, prover, lint, artifact store, trace cache); lost
+    benchmarks then raise unless the config captures them, in which
+    case use :func:`repro.runner.run_suite_resilient` directly to also
+    see the failure records.  Pass a :class:`repro.fabric.FabricConfig`
+    instead to route the suite through the fault-tolerant fabric
+    (supervised workers, timeouts, durable lease queue, poison
+    quarantine); lost benchmarks are then left out of the list.
     ``algorithms`` restricts the competing aligners (default: the whole
     registry) and is threaded through both execution paths.
     """
-    from ..fabric import FabricConfig, run_fabric
+    from ..fabric import FabricConfig
     from ..runner import RunnerConfig, run_suite_resilient
 
-    if isinstance(runner, FabricConfig):
-        from ..runner.runner import UnitTask
-        from ..workloads import SUITE
-
-        tasks = [
-            UnitTask(
-                kind="experiment", benchmark=name, scale=scale, seed=seed,
-                window=window, archs=tuple(archs),
-                algorithms=tuple(algorithms) if algorithms is not None else None,
-                profile_source=profile_source,
-            )
-            for name in (list(names) if names is not None else list(SUITE))
-        ]
-        return list(run_fabric(tasks, runner).results)
-
-    config = runner if runner is not None else RunnerConfig(fail_fast=True)
+    fabric = runner if isinstance(runner, FabricConfig) else None
+    if fabric is not None:
+        config = None
+    else:
+        config = runner if runner is not None else RunnerConfig(fail_fast=True)
     result = run_suite_resilient(
         names, scale=scale, seed=seed, window=window, archs=archs, config=config,
-        algorithms=algorithms, profile_source=profile_source,
+        algorithms=algorithms, profile_source=profile_source, fabric=fabric,
     )
     return result.results
 

@@ -55,7 +55,7 @@ def run_figure4_program(
 ) -> Figure4Row:
     """Model Figure 4's hardware measurement for one program.
 
-    This is the per-benchmark unit the resilient runner isolates;
+    This is the per-benchmark unit the resilient runner executes;
     ``program``/``profile`` let a caller that already traced the
     workload (and validated the profile) hand both in, and ``validate``
     runs the layout/address invariant checks after each alignment.
@@ -107,24 +107,16 @@ def run_figure4(
     Pass a :class:`repro.fabric.FabricConfig` as ``runner`` to route the
     rows through the fault-tolerant fabric instead.
     """
-    from ..fabric import FabricConfig, run_fabric
+    from ..fabric import FabricConfig
     from ..runner import RunnerConfig, run_figure4_resilient
 
-    if isinstance(runner, FabricConfig):
-        from ..runner.runner import UnitTask
-
-        tasks = [
-            UnitTask(
-                kind="figure4", benchmark=name, scale=scale, seed=seed,
-                window=window, alpha_config=config,
-            )
-            for name in names
-        ]
-        return list(run_fabric(tasks, runner).results)
-
-    runner_config = runner if runner is not None else RunnerConfig(fail_fast=True)
+    fabric = runner if isinstance(runner, FabricConfig) else None
+    if fabric is not None:
+        runner_config = None
+    else:
+        runner_config = runner if runner is not None else RunnerConfig(fail_fast=True)
     result = run_figure4_resilient(
         names, scale=scale, seed=seed, window=window,
-        alpha_config=config, config=runner_config,
+        alpha_config=config, config=runner_config, fabric=fabric,
     )
     return result.results

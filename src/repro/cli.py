@@ -13,8 +13,10 @@ Gives the library's main workflows a shell entry point:
   cost and fall-through rate (``--arena`` shards benchmark x algorithm
   units across the fabric);
 * ``table2`` / ``table3`` / ``table4`` / ``figure4`` — regenerate the
-  paper's evaluation artifacts (through the resilient runner: per-
-  benchmark isolation, timeouts, retries, checkpoint/resume);
+  paper's evaluation artifacts (through the resilient runner: retries
+  and the pipeline's judges inline, or — with ``--workers``,
+  ``--timeout`` or ``--queue`` — per-benchmark isolation, timeouts and
+  resume through the fabric);
 * ``lint`` — run the static verifier passes (``repro.staticcheck``)
   over a benchmark's CFG, profile and layouts; ``--estimate`` adds the
   trace-free branch-cost estimate cross-validated against the simulator;
@@ -29,8 +31,9 @@ Gives the library's main workflows a shell entry point:
 * ``sweep`` — run a benchmarks x seeds sweep through the fault-tolerant
   fabric (``repro.fabric``): durable lease queue (``--queue DIR``,
   ``--resume``), supervised heartbeat workers (``--workers/--lease``),
-  poison-unit quarantine, chaos injection (``--inject kill-worker,...``)
-  and a consolidated SHA-256-manifested report;
+  per-unit wall-clock budgets (``--timeout``), poison-unit quarantine,
+  chaos injection (``--inject kill-worker,...``) and a consolidated
+  SHA-256-manifested report;
 * ``sensitivity`` — machine-sensitivity sweeps (mispredict penalty,
   issue width) for one benchmark;
 * ``doctor`` — run the pipeline invariant checks standalone, audit /
@@ -38,14 +41,12 @@ Gives the library's main workflows a shell entry point:
   traces are decoded and stale/corrupt entries flagged), inspect or
   repair a fabric queue (``--fabric DIR [--repair]``), or lint every
   registered workload (``--lint``);
-* ``bench`` — time the trace-once/replay-many engine against the legacy
-  execute-per-layout engine and write ``BENCH_PR4.json``;
 * ``dot`` — emit a procedure's control-flow graph in Graphviz format.
 
-Suite commands run on the replay engine by default; ``--engine
-execute`` restores the legacy path, ``--replay-check`` differentially
-checks every replay against a fresh execution, and ``--trace-cache
-DIR`` persists captured decision traces across runs.
+Suite commands capture each workload's decision trace once and replay
+it through every layout; ``--replay-check`` differentially checks every
+replay against a fresh execution, and ``--trace-cache DIR`` persists
+captured decision traces across runs.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 partial
 suite results (some benchmarks failed; see the failure table).
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 EXIT_OK = 0
@@ -147,10 +149,47 @@ def _benchmark_list(value: Optional[str]) -> Optional[List[str]]:
     return names
 
 
-def _runner_config(args: argparse.Namespace) -> RunnerConfig:
-    """Build the resilient-runner configuration from table/figure flags."""
+def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
+    """``--retries`` as a policy, once the shared fabric flags check out."""
+    if args.retries < 1:
+        raise UsageError("--retries must be >= 1")
+    if args.resume and args.queue is None:
+        raise UsageError("--resume requires --queue DIR")
+    return RetryPolicy(max_attempts=args.retries)
+
+
+def _fabric_config(args: argparse.Namespace, **settings):
+    """The FabricConfig of the flags ``sweep`` and the tables share."""
+    from .fabric import FabricConfig
+
+    if args.workers is not None:
+        settings["workers"] = args.workers
+    try:
+        return FabricConfig(
+            timeout=args.timeout,
+            retry=_retry_policy(args),
+            queue_dir=args.queue,
+            resume=args.resume,
+            **settings,
+        )
+    except ValueError as exc:
+        raise UsageError(f"--{str(exc).replace('_', '-')}")
+
+
+def _runner_config(args: argparse.Namespace):
+    """The runner (and, when supervised, fabric) configs of a table run.
+
+    A table runs inline unless ``--workers``, ``--timeout`` or
+    ``--queue`` hands its units to the fabric.  Faults only an observer
+    can see are refused without it, naming the flag that adds it.
+    """
+    from .runner.faults import FABRIC_FAULT_KINDS, NETWORK_FAULT_KINDS
+
+    supervised = (
+        args.workers is not None or args.timeout is not None or args.queue is not None
+    )
     faults = None
-    if getattr(args, "inject", None):
+    if args.inject:
         try:
             specs = tuple(parse_fault_spec(spec) for spec in args.inject)
         except ValueError as exc:
@@ -160,9 +199,7 @@ def _runner_config(args: argparse.Namespace) -> RunnerConfig:
             raise UsageError(
                 "corrupt-artifact faults need an artifact store; add --store DIR"
             )
-        if any(s.stage == "layout" for s in specs) and not (
-            args.oracle or getattr(args, "prove", False)
-        ):
+        if any(s.stage == "layout" for s in specs) and not (args.oracle or args.prove):
             raise UsageError(
                 "layout faults are only observable by the oracle or the "
                 "prover; add --oracle or --prove"
@@ -171,38 +208,45 @@ def _runner_config(args: argparse.Namespace) -> RunnerConfig:
             raise UsageError(
                 "break-cfg faults are only observable by the linter; add --lint"
             )
-        if any(s.kind == "corrupt-trace" for s in specs) and not getattr(
-            args, "trace_cache", None
-        ):
+        if any(s.kind == "corrupt-trace" for s in specs) and not args.trace_cache:
             raise UsageError(
                 "corrupt-trace faults corrupt the on-disk trace cache; "
                 "add --trace-cache DIR"
             )
-    if args.retries < 1:
-        raise UsageError("--retries must be >= 1")
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
-    if args.timeout is not None and args.timeout <= 0:
-        raise UsageError("--timeout must be positive")
-    if args.resume and args.checkpoint is None:
-        raise UsageError("--resume requires --checkpoint FILE")
-    return RunnerConfig(
-        isolate=args.isolate or args.timeout is not None or args.workers > 1,
-        max_workers=args.workers,
-        timeout=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        faults=faults,
+        kinds = {s.kind for s in specs}
+        network = sorted(kinds & set(NETWORK_FAULT_KINDS))
+        if network:
+            raise UsageError(
+                f"network fault(s) {', '.join(network)} attack the socket "
+                f"tier, which only `repro sweep --listen` serves"
+            )
+        killers = sorted(k for k in kinds if k == "hard-crash" or k in FABRIC_FAULT_KINDS)
+        if killers and not supervised:
+            raise UsageError(
+                f"{', '.join(killers)} faults only fire under the fabric; "
+                f"add --workers N (or --queue DIR / --timeout SECONDS)"
+            )
+        if "corrupt-queue" in kinds and args.queue is None:
+            raise UsageError(
+                "corrupt-queue faults garble a durable queue record; add --queue DIR"
+            )
+        if "hang" in kinds and args.timeout is None:
+            raise UsageError(
+                "hang faults sleep for an hour unless a wall-clock budget "
+                "kills them; add --timeout SECONDS"
+            )
+    runner = RunnerConfig(
         oracle=args.oracle,
-        prove=getattr(args, "prove", False),
+        prove=args.prove,
         lint=args.lint,
-        meld=getattr(args, "meld", False),
+        meld=args.meld,
         store=args.store,
-        engine=getattr(args, "engine", "replay"),
-        replay_check=getattr(args, "replay_check", False),
-        trace_cache=getattr(args, "trace_cache", None),
+        replay_check=args.replay_check,
+        trace_cache=args.trace_cache,
     )
+    if supervised:
+        return runner, _fabric_config(args, faults=faults, seed=args.seed)
+    return replace(runner, retry=_retry_policy(args), faults=faults), None
 
 
 def _finish_suite(
@@ -218,7 +262,7 @@ def _finish_suite(
     if result.skipped:
         print(
             f"resumed: {len(result.skipped)} benchmark(s) restored from "
-            f"checkpoint {result.checkpoint}",
+            f"queue {result.queue}",
             file=sys.stderr,
         )
     if result.partial:
@@ -331,9 +375,10 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def _suite_table(args: argparse.Namespace, archs: Sequence[str], render) -> int:
     names = _benchmark_list(args.benchmarks) or list(SUITE)
+    config, fabric = _runner_config(args)
     result = run_suite_resilient(
         names, scale=args.scale, seed=args.seed, window=args.window,
-        archs=archs, config=_runner_config(args),
+        archs=archs, config=config, fabric=fabric,
     )
     if args.csv:
         text = records_to_csv(experiment_records(result.results)).rstrip()
@@ -354,9 +399,10 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     names = _benchmark_list(args.benchmarks)
     from .workloads import FIGURE4_PROGRAMS
     selected = names if names is not None else list(FIGURE4_PROGRAMS)
+    config, fabric = _runner_config(args)
     result = run_figure4_resilient(
         selected, scale=args.scale, seed=args.seed, window=args.window,
-        config=_runner_config(args),
+        config=config, fabric=fabric,
     )
     if args.csv:
         text = records_to_csv(figure4_records(result.results)).rstrip()
@@ -1191,7 +1237,7 @@ def _fabric_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a benchmark sweep through the fault-tolerant fabric."""
-    from .fabric import FabricConfig, run_fabric, write_report
+    from .fabric import run_fabric, write_report
     from .runner.faults import NETWORK_FAULT_KINDS
     from .runner.runner import UnitTask
 
@@ -1210,10 +1256,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown architectures: {', '.join(unknown)}")
     else:
         archs = ALL_ARCHS
-    if args.retries < 1:
-        raise UsageError("--retries must be >= 1")
-    if args.resume and not args.queue:
-        raise UsageError("--resume requires --queue DIR")
     if args.remote_workers < 0:
         raise UsageError("--remote-workers must be >= 0")
     if args.remote_workers and not args.listen:
@@ -1244,22 +1286,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed in seeds
         for name in names
     ]
-    try:
-        config = FabricConfig(
-            workers=args.workers,
-            lease=args.lease,
-            heartbeat=args.heartbeat,
-            poison_threshold=args.poison_threshold,
-            retry=RetryPolicy(max_attempts=args.retries),
-            queue_dir=args.queue,
-            resume=args.resume,
-            faults=faults,
-            drain_timeout=args.drain_timeout,
-            seed=seeds[0],
-            listen=args.listen,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config = _fabric_config(
+        args,
+        lease=args.lease,
+        heartbeat=args.heartbeat,
+        poison_threshold=args.poison_threshold,
+        faults=faults,
+        drain_timeout=args.drain_timeout,
+        seed=seeds[0],
+        listen=args.listen,
+    )
 
     loopback: list = []
     on_listening = None
@@ -1520,45 +1556,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the replay engine against the legacy engine (BENCH_PR4.json).
-
-    ``--tournament`` times the full-registry tournament instead — shared
-    trace vs per-algorithm re-execution — and writes ``BENCH_PR9.json``.
-    """
-    from .analysis.bench import (
-        BENCH_BENCHMARKS,
-        QUICK_BENCHMARKS,
-        bench_pipeline,
-        bench_tournament,
-        render_bench,
-        write_bench_json,
-    )
-
-    names = _benchmark_list(args.benchmarks)
-    if names is None:
-        names = list(QUICK_BENCHMARKS if args.quick else BENCH_BENCHMARKS)
-    repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    if repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    measure = bench_tournament if args.tournament else bench_pipeline
-    report = measure(
-        benchmarks=names,
-        scale=args.scale,
-        seed=args.seed,
-        window=args.window,
-        repeats=repeats,
-        trace_cache=args.trace_cache,
-    )
-    json_output = args.json_output
-    if json_output is None:
-        json_output = "BENCH_PR9.json" if args.tournament else "BENCH_PR4.json"
-    path = write_bench_json(report, json_output)
-    print(render_bench(report))
-    print(f"wrote {path}")
-    return EXIT_OK if report["replay_not_slower"] else EXIT_RUNTIME
-
-
 def cmd_dot(args: argparse.Namespace) -> int:
     program = _workload(args)
     if args.procedure not in program:
@@ -1581,6 +1578,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Branch alignment reproduction (Calder & Grunwald, ASPLOS 1994)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def fabric_flags(g):
+        """The fabric flags ``sweep`` and the table commands share."""
+        g.add_argument("--workers", type=int, default=None, metavar="N",
+                       help="supervised fabric worker processes (default 2)")
+        g.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                       help="per-unit wall-clock budget from the lease grant: "
+                            "a unit still running has its worker killed and "
+                            "fails as a timeout, never retried")
+        g.add_argument("--retries", type=int, default=3, metavar="N",
+                       help="max attempts per unit (default 3)")
+        g.add_argument("--queue", metavar="DIR",
+                       help="durable queue directory; the run survives "
+                            "SIGKILL and --resume picks it back up")
+        g.add_argument("--resume", action="store_true",
+                       help="resume the queue directory: done units keep "
+                            "their verified results, dead leases are revoked, "
+                            "failed units re-run, poison stays quarantined")
 
     def common(p, window=False):
         p.add_argument("--scale", type=float, default=0.25,
@@ -1731,8 +1746,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated registered aligners each unit "
                         "competes (default: the whole registry)")
     g = p.add_argument_group("fabric")
-    g.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="supervised worker processes (default 2)")
+    fabric_flags(g)
     g.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
                    help="lease duration; a unit not completed or "
                         "heartbeat-renewed within this window is revoked "
@@ -1740,18 +1754,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
                    help="worker heartbeat interval (default: lease/4, "
                         "capped at 1s)")
-    g.add_argument("--retries", type=int, default=3, metavar="N",
-                   help="max attempts per unit (default 3)")
     g.add_argument("--poison-threshold", type=int, default=2, metavar="K",
                    help="distinct workers a unit may crash before it is "
                         "quarantined as poison (default 2)")
-    g.add_argument("--queue", metavar="DIR",
-                   help="durable queue directory; the sweep survives "
-                        "SIGKILL and --resume picks it back up")
-    g.add_argument("--resume", action="store_true",
-                   help="resume the queue directory: done units keep "
-                        "their verified results, dead leases are revoked, "
-                        "failed units re-run, poison stays quarantined")
     g.add_argument("--inject", action="append", default=[],
                    metavar="KIND|BENCH:fabric:KIND[:TIMES]",
                    help="inject fabric faults (comma-separable): bare "
@@ -1801,21 +1806,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_worker)
 
     def runner_flags(p):
+        fabric_flags(p.add_argument_group(
+            "fabric",
+            "units run inline unless --workers, --timeout or --queue runs "
+            "them under the fault-tolerant fabric: crashes and hangs are "
+            "confined to their benchmark, and --resume restores finished "
+            "ones from the queue",
+        ))
         g = p.add_argument_group("resilient runner")
-        g.add_argument("--checkpoint", metavar="PATH",
-                       help="journal completed benchmarks to a JSONL checkpoint")
-        g.add_argument("--resume", action="store_true",
-                       help="resume from the checkpoint, re-running only "
-                            "unfinished/failed benchmarks")
-        g.add_argument("--isolate", action="store_true",
-                       help="run each benchmark in a worker subprocess "
-                            "(crashes become per-benchmark failures)")
-        g.add_argument("--timeout", type=float, metavar="SECONDS",
-                       help="per-benchmark wall-clock budget (implies --isolate)")
-        g.add_argument("--retries", type=int, default=3, metavar="N",
-                       help="max attempts for retryable failures (default 3)")
-        g.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="parallel worker processes (implies --isolate)")
         g.add_argument("--inject", action="append", default=[],
                        metavar="BENCH:STAGE:KIND[:TIMES]",
                        help="inject a deterministic fault (fault-injection "
@@ -1843,12 +1841,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist results to a crash-safe checksummed "
                             "artifact store (corrupt artifacts are "
                             "quarantined and re-run on --resume)")
-        g.add_argument("--engine", choices=("replay", "execute"),
-                       default="replay",
-                       help="simulation engine: 'replay' captures each "
-                            "workload's decision trace once and replays it "
-                            "through every layout (default); 'execute' is "
-                            "the legacy one-execution-per-layout path")
         g.add_argument("--replay-check", action="store_true",
                        help="differentially check every replay against a "
                             "fresh execution (slow; reports must be "
@@ -1961,30 +1953,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit non-zero when any claim fails")
     common(p, window=True)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the replay engine vs the legacy execute engine and "
-             "write BENCH_PR4.json (non-zero exit if replay is slower "
-             "or results diverge)",
-    )
-    p.add_argument("--benchmarks", help="comma-separated subset")
-    p.add_argument("--quick", action="store_true",
-                   help="one benchmark, one repeat (CI smoke mode)")
-    p.add_argument("--tournament", action="store_true",
-                   help="time the full-registry tournament (shared trace vs "
-                        "per-algorithm re-execution) instead of the 3-layout "
-                        "pipeline")
-    p.add_argument("--repeats", type=int, default=None, metavar="N",
-                   help="timing repeats, best-of (default 3; 1 with --quick)")
-    p.add_argument("--trace-cache", metavar="DIR",
-                   help="persistent trace cache (default: a temp dir "
-                        "warmed in-run)")
-    p.add_argument("--json-output", default=None, metavar="PATH",
-                   help="where to write the JSON report (default "
-                        "BENCH_PR4.json; BENCH_PR9.json with --tournament)")
-    common(p, window=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dot", help="emit a procedure's CFG as Graphviz")
     p.add_argument("benchmark")

@@ -14,9 +14,8 @@ knobs that determine its result.  The scheduler owns their lifecycle:
   double-completing the unit;
 * **done** — the unit's payload is persisted (before the state flips, so
   ``done`` always implies the result exists);
-* **failed** — retries exhausted, or a non-retryable failure; failed
-  units re-run on resume, exactly like the checkpoint journal's
-  failures;
+* **failed** — retries exhausted, a non-retryable failure, or a unit
+  past its wall-clock budget; failed units re-run on resume;
 * **quarantined** — the unit crashed ``poison_threshold`` *distinct*
   workers.  Poison units are recorded with their tracebacks, reported,
   and never retried: the sweep degrades gracefully instead of crash-
@@ -33,14 +32,14 @@ undecodable records, and re-runs exactly the units whose work was lost.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..atomicio import atomic_write_text
-from ..runner.checkpoint import config_fingerprint
 from ..runner.errors import FatalError
 from ..runner.retry import RetryPolicy, retry_rng
 from ..runner.runner import UnitTask
@@ -74,8 +73,19 @@ class QueueMismatch(FabricError):
     """A queue directory was written by a different sweep configuration."""
 
 
+def config_fingerprint(config: Dict[str, object]) -> str:
+    """A short stable digest of a JSON-serialisable configuration."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def unit_fingerprint(task: UnitTask) -> str:
-    """A stable digest of exactly the knobs that determine a unit's result."""
+    """A stable digest of exactly the knobs that determine a unit's result.
+
+    Pipeline checks (oracle, prover, lint, validation, replay check) and
+    the trace cache only decide whether a unit passes, never its numbers,
+    so they stay out: a queue may be resumed with them toggled.
+    """
     summary: Dict[str, object] = {
         "kind": task.kind,
         "benchmark": task.benchmark,
@@ -84,8 +94,12 @@ def unit_fingerprint(task: UnitTask) -> str:
         "window": task.window,
         "archs": list(task.archs),
         "min_weight": task.min_weight,
-        "engine": task.engine,
         "algorithms": list(task.algorithms) if task.algorithms is not None else None,
+        "profile_source": task.profile_source,
+        "meld": task.meld,
+        "alpha_config": (
+            asdict(task.alpha_config) if task.alpha_config is not None else None
+        ),
     }
     return config_fingerprint(summary)
 
@@ -674,6 +688,8 @@ class Scheduler:
     sweep back up: done units keep their verified payloads, dead leases
     are revoked, corrupt records are quarantined and their units re-run,
     failed units re-run, quarantined (poison) units stay quarantined.
+    ``restorable`` adds a caller's own check a done unit must pass to be
+    restored (the runner's artifact store); a unit failing it re-runs.
     """
 
     def __init__(
@@ -685,6 +701,7 @@ class Scheduler:
         retry: Optional[RetryPolicy] = None,
         seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
+        restorable: Optional[Callable[[UnitTask], bool]] = None,
     ) -> None:
         if not tasks:
             raise FabricError("a sweep needs at least one unit")
@@ -703,7 +720,7 @@ class Scheduler:
             self.store = ArtifactStore(self.root / RESULTS_DIR)
             existing = (self.root / QUEUE_MANIFEST).exists()
             if resume and existing:
-                records = self._reconcile(fresh)
+                records = self._reconcile(fresh, restorable)
             else:
                 config = {
                     "units": [r.unit_id for r in fresh],
@@ -723,7 +740,11 @@ class Scheduler:
             self.queue.persist_all()
 
     # -- resume --------------------------------------------------------
-    def _reconcile(self, fresh: Sequence[UnitRecord]) -> List[UnitRecord]:
+    def _reconcile(
+        self,
+        fresh: Sequence[UnitRecord],
+        restorable: Optional[Callable[[UnitTask], bool]],
+    ) -> List[UnitRecord]:
         assert self.root is not None and self.store is not None
         header, loaded, corrupt = load_queue_dir(self.root)
         if header.get("fingerprint") != self.fingerprint:
@@ -752,11 +773,18 @@ class Scheduler:
                 continue
             old.task = record.task
             if old.state == DONE:
+                key = self.result_key(old.unit_id)
                 try:
-                    self.store.verify(self.result_key(old.unit_id))
-                    self.resumed.append(old.unit_id)
+                    self.store.verify(key)
+                    intact = True
                 except ArtifactCorruptError:
-                    self.store.quarantine(self.result_key(old.unit_id))
+                    self.store.quarantine(key)
+                    intact = False
+                if intact and (
+                    restorable is None or old.task is None or restorable(old.task)
+                ):
+                    self.resumed.append(old.unit_id)
+                else:
                     old.state = PENDING
                     old.failure = None
                     self.recovered.append(old.unit_id)
@@ -770,7 +798,7 @@ class Scheduler:
                 )
                 old.not_before = 0.0
             elif old.state == FAILED:
-                # Failed units re-run on resume, like journal failures.
+                # Failed units (timeouts included) re-run on resume.
                 old.state = PENDING
                 old.not_before = 0.0
             merged.append(old)

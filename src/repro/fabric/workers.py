@@ -13,10 +13,14 @@ robustness properties:
   heartbeating; after ``missed_heartbeats`` intervals the supervisor
   kills and replaces it — a frozen worker can delay a unit, never the
   sweep;
-* an **expired lease** (timeout or injected ``expire-lease``) is revoked
-  and the unit re-leased to a healthy worker; the original worker's late
-  result arrives under a stale token and is *rejected* — a unit can be
-  attempted twice, but never counted twice;
+* an **expired lease** (missed renewals or injected ``expire-lease``) is
+  revoked and the unit re-leased to a healthy worker; the original
+  worker's late result arrives under a stale token and is *rejected* — a
+  unit can be attempted twice, but never counted twice;
+* a unit still running ``timeout`` seconds after its lease was granted
+  (a **hang**: its heartbeats keep renewing the lease) has its worker
+  killed and fails as a ``timeout`` — never retried, and not charged
+  toward poison quarantine;
 * a unit that crashes ``poison_threshold`` distinct workers is
   **quarantined** by the scheduler as a poison unit — recorded with its
   tracebacks, reported, never retried;
@@ -25,9 +29,9 @@ robustness properties:
   the durable queue is cleanly resumable, and the pool shuts down.
 
 Workers execute :func:`repro.runner.runner.execute_unit` — exactly the
-same unit body as the classic resilient runner — so everything the
-pipeline already validates (invariants, lint, oracle, proofs) holds
-unchanged under the fabric.
+unit body the runner's inline loop runs — so everything the pipeline
+already validates (invariants, lint, oracle, proofs) holds unchanged
+under the fabric.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, replace
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 from types import FrameType
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..runner.errors import TransientError, classify, stage_of
 from ..runner.faults import (
@@ -54,7 +58,6 @@ from ..runner.faults import (
 from ..runner.retry import RetryPolicy
 from ..runner.runner import (
     BenchmarkFailure,
-    SuiteRunResult,
     UnitTask,
     execute_unit,
     payload_to_result,
@@ -68,6 +71,11 @@ class FabricConfig:
 
     #: Concurrent worker processes.
     workers: int = 2
+    #: Per-unit wall-clock budget in seconds, counted from the lease
+    #: grant (None = unlimited).  A unit past it has its worker killed
+    #: and fails with kind ``timeout``: never retried, never charged
+    #: toward poison quarantine.
+    timeout: Optional[float] = None
     #: Lease duration in seconds: a unit not completed (or heartbeat-
     #: renewed) within this window is revoked and re-leased.
     lease: float = 30.0
@@ -104,6 +112,8 @@ class FabricConfig:
             raise ValueError("workers must be >= 1 unless listen is set")
         if self.lease <= 0:
             raise ValueError("lease must be positive")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError("timeout must be positive")
         if self.heartbeat is not None and self.heartbeat <= 0:
             raise ValueError("heartbeat must be positive")
         if self.missed_heartbeats < 1:
@@ -145,6 +155,9 @@ def _worker_main(
     """
     try:  # the supervisor drives shutdown; workers ignore ^C themselves
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # A forked worker inherits the supervisor's SIGTERM drain
+        # handler; the supervisor's terminate() must kill it outright.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
 
@@ -391,11 +404,9 @@ class FabricSupervisor:
                 )
             self._discard(handle)
 
-    def _kill(self, handle: WorkerHandle, why: str, now: float) -> None:
-        """Kill one worker (stall), charging its unit a crash."""
-        if handle.unit is not None:
-            self.queue.crash(handle.unit, handle.token, handle.worker_id, why, now)
-            handle.unit = None
+    def _kill(self, handle: WorkerHandle) -> None:
+        """Terminate one worker process and forget it."""
+        handle.unit = None
         try:
             handle.process.terminate()
         except Exception:  # pragma: no cover - process already gone
@@ -412,13 +423,40 @@ class FabricSupervisor:
                 continue
             silent = now - handle.last_beat
             if silent > self.config.stall_after:
-                self._kill(
-                    handle,
+                self.queue.crash(
+                    handle.unit, handle.token, handle.worker_id,
                     f"worker {handle.worker_id} missed "
                     f"{self.config.missed_heartbeats} heartbeat(s) "
                     f"({silent:.2f}s silent) and was killed",
                     now,
                 )
+                self._kill(handle)
+
+    def _enforce_timeouts(self, now: float) -> None:
+        """Fail every unit past its wall-clock budget; kill its worker.
+
+        Heartbeats renew a hung unit's lease forever, so the budget is
+        counted from the lease grant.  A remote holder cannot be killed
+        from here; its late result arrives under a dead token and is
+        rejected.
+        """
+        timeout = self.config.timeout
+        if timeout is None:
+            return
+        for record in self.queue.in_state(LEASED):
+            lease = record.lease
+            if lease is None or now - lease.leased_at < timeout:
+                continue
+            self.queue.fail(
+                record.unit_id, lease.token,
+                {"stage": "fabric", "kind": "timeout",
+                 "message": f"{record.benchmark} exceeded the {timeout:g}s "
+                            f"wall-clock budget and its worker was killed"},
+                False, now,
+            )
+            for handle in list(self.handles):
+                if handle.unit == record.unit_id:
+                    self._kill(handle)
 
     def _supervisor_faults(self, record: UnitRecord, now: float) -> None:
         """Apply the supervisor-side fabric faults to a fresh lease."""
@@ -484,6 +522,7 @@ class FabricSupervisor:
                         self._pump(handle, now)
                     self.queue.expire(now)
                     self._detect_stalls(now)
+                    self._enforce_timeouts(now)
                     if not self.draining:
                         while len(self.handles) < self.config.workers:
                             self._spawn()
@@ -568,46 +607,38 @@ class FabricRunResult:
     def counts(self) -> Dict[str, int]:
         return self.scheduler.counts()
 
-    def to_suite_result(self) -> SuiteRunResult:
-        """Bridge to the classic runner's result type (tables, banners)."""
-        failures = list(self.failures)
-        for record in self.quarantined:
-            failure = record.failure or {}
-            failures.append(
-                BenchmarkFailure(
-                    benchmark=record.benchmark,
-                    stage="fabric",
-                    kind="poison",
-                    message=str(failure.get("message", "quarantined poison unit")),
-                    attempts=record.attempts,
-                    retryable=False,
-                )
-            )
-        return SuiteRunResult(
-            results=list(self.results),
-            failures=failures,
-            skipped=[self.scheduler.record(u).benchmark for u in self.resumed],
-            executed=[self.scheduler.record(u).benchmark for u in self.executed],
-            checkpoint=self.scheduler.root,
+    def failure_of(self, record: UnitRecord) -> BenchmarkFailure:
+        """The failure record of a unit that produced no result.
+
+        Quarantined units fail as ``poison``; units a drain left
+        unsettled fail as ``drained`` (``--resume`` finishes them).
+        """
+        failure = record.failure or {}
+        if record.state == QUARANTINED:
+            kind, default = "poison", "quarantined poison unit"
+        elif record.state == FAILED:
+            kind, default = str(failure.get("kind", "error")), "unit failed"
+        elif record.state == DONE:
+            kind, default = "fatal", "result payload missing or corrupt"
+        else:
+            kind = "drained"
+            default = (f"drained ({self.drain_reason or 'interrupted'}) "
+                       f"before the unit settled; --resume finishes it")
+        return BenchmarkFailure(
+            benchmark=record.benchmark,
+            stage=str(failure.get("stage", "fabric")),
+            kind=kind,
+            message=str(failure.get("message", default)),
+            attempts=record.attempts,
+            retryable=False,
         )
-
-
-def _failure_from_record(record: UnitRecord) -> BenchmarkFailure:
-    failure = record.failure or {}
-    return BenchmarkFailure(
-        benchmark=record.benchmark,
-        stage=str(failure.get("stage", "fabric")),
-        kind=str(failure.get("kind", "error")),
-        message=str(failure.get("message", "unit failed")),
-        attempts=record.attempts,
-        retryable=False,
-    )
 
 
 def run_fabric(
     tasks: Sequence[UnitTask],
     config: Optional[FabricConfig] = None,
     on_listening: Optional[Any] = None,
+    restorable: Optional[Callable[[UnitTask], bool]] = None,
 ) -> FabricRunResult:
     """Run a sweep's units through the fault-tolerant fabric.
 
@@ -619,7 +650,8 @@ def run_fabric(
 
     With ``config.listen`` set, a socket-tier coordinator serves remote
     workers from the same queue; ``on_listening`` receives the bound
-    ``(host, port)`` (useful with an ephemeral port).
+    ``(host, port)`` (useful with an ephemeral port).  ``restorable``
+    is the resume check of :class:`~repro.fabric.scheduler.Scheduler`.
     """
     config = config or FabricConfig()
     scheduler = Scheduler(
@@ -629,6 +661,7 @@ def run_fabric(
         poison_threshold=config.poison_threshold,
         retry=config.retry,
         seed=config.seed,
+        restorable=restorable,
     )
     supervisor = FabricSupervisor(scheduler, config)
     supervisor.on_listening = on_listening
@@ -652,27 +685,25 @@ def run_fabric(
             except ValueError:  # pragma: no cover
                 pass
 
-    results: List[object] = []
-    failures: List[BenchmarkFailure] = []
-    quarantined: List[UnitRecord] = []
-    for unit_id in scheduler.order:
-        record = scheduler.record(unit_id)
-        if record.state == DONE:
-            payload = scheduler.get_payload(unit_id)
-            if payload is not None:
-                results.append(payload_to_result(payload))
-        elif record.state == FAILED:
-            failures.append(_failure_from_record(record))
-        elif record.state == QUARANTINED:
-            quarantined.append(record)
-    return FabricRunResult(
+    run = FabricRunResult(
         scheduler=scheduler,
-        results=results,
-        failures=failures,
-        quarantined=quarantined,
+        results=[],
+        failures=[],
+        quarantined=[],
         resumed=list(scheduler.resumed),
         executed=list(supervisor.executed),
         drained=supervisor.draining,
         drain_reason=supervisor.drain_reason,
         remote=supervisor.remote_summary,
     )
+    for unit_id in scheduler.order:
+        record = scheduler.record(unit_id)
+        if record.state == DONE:
+            payload = scheduler.get_payload(unit_id)
+            if payload is not None:
+                run.results.append(payload_to_result(payload))
+        elif record.state == FAILED:
+            run.failures.append(run.failure_of(record))
+        elif record.state == QUARANTINED:
+            run.quarantined.append(record)
+    return run

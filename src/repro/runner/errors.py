@@ -10,8 +10,10 @@ three families, because the *response* differs per family:
   violated (non-conserved profile flow, a layout that is not a
   permutation, an address map with holes).  Retrying cannot help; the
   unit is failed immediately and reported.
-* :class:`FatalError` — everything else that ends a unit for good:
-  worker crashes, wall-clock timeouts, corrupt checkpoints.
+* :class:`FatalError` — everything else that ends a unit for good
+  (malformed payloads, fabric faults).  Worker crashes and wall-clock
+  timeouts are observed by the fabric supervisor, not raised, and are
+  recorded there with kinds ``crash``, ``poison`` and ``timeout``.
 
 Exceptions raised inside a benchmark unit carry a best-effort
 ``stage`` attribute (set via :func:`annotate_stage`) naming the pipeline
@@ -41,22 +43,6 @@ class FatalError(RunnerError):
 
 class ValidationError(RunnerError):
     """A pipeline invariant was violated; retrying cannot help."""
-
-
-class BenchmarkTimeout(FatalError):
-    """A benchmark unit exceeded its wall-clock budget and was killed."""
-
-
-class WorkerCrash(FatalError):
-    """The worker process executing a unit died without reporting back."""
-
-
-class CheckpointError(FatalError):
-    """A checkpoint journal is unreadable or structurally invalid."""
-
-
-class CheckpointMismatch(CheckpointError):
-    """A checkpoint journal was written under a different configuration."""
 
 
 def annotate_stage(exc: BaseException, stage: str) -> BaseException:
@@ -89,12 +75,6 @@ def classify(exc: BaseException) -> str:
 
     if isinstance(exc, ProfileCorruptError):
         return "validation"
-    if isinstance(exc, BenchmarkTimeout):
-        return "timeout"
-    if isinstance(exc, WorkerCrash):
-        return "crash"
-    if isinstance(exc, CheckpointError):
-        return "checkpoint"
     if isinstance(exc, FatalError):
         return "fatal"
     return "error"

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the resilient runner.
 
-The runner's robustness claims — isolation, retry, checkpoint/resume,
+The runner's robustness claims — isolation, retry, queue resume,
 corrupted-input rejection — are only credible if they can be *demonstrated*.
 This module injects failures at named pipeline stages of named benchmarks,
 fully seeded so every injected failure reproduces exactly:

@@ -3,19 +3,15 @@
 Wraps the per-benchmark experiment units of ``analysis.experiment`` and
 ``analysis.figure4`` with the reliability properties of a batch service:
 
-* **fault isolation** — with ``isolate=True`` (implied by a timeout)
-  each unit runs in a worker subprocess via
-  :class:`concurrent.futures.ProcessPoolExecutor`; a crash, hang or
-  OOM-kill in one benchmark becomes a structured
-  :class:`BenchmarkFailure` record instead of killing the suite;
-* **wall-clock timeouts** — hung units are detected and their worker
-  processes terminated;
+* **one unit body, two substrates** — units run inline in this process
+  by default (the cheapest mode, used by the library drivers); with a
+  :class:`repro.fabric.FabricConfig` they run through the fault-tolerant
+  fabric instead, whose supervised workers confine a crash, hang or
+  OOM-kill to its unit, whose ``timeout`` bounds each unit's wall
+  clock, and whose durable queue resumes an interrupted run where it
+  stopped, re-running only lost or failed units;
 * **retry with exponential backoff + jitter** — transient failures
-  (and, configurably, worker crashes) re-run up to
-  ``RetryPolicy.max_attempts`` times;
-* **checkpoint/resume** — finished units are journaled to a JSONL
-  checkpoint keyed by a config fingerprint, so interrupted suite runs
-  resume where they stopped and only failed benchmarks re-execute;
+  re-run up to ``RetryPolicy.max_attempts`` times;
 * **invariant validation** — profile, layout and address-map checks run
   at stage boundaries (see :mod:`repro.runner.validate`);
 * **static lint** — with ``lint=True`` the verifier passes of
@@ -28,8 +24,9 @@ Wraps the per-benchmark experiment units of ``analysis.experiment`` and
   :class:`ValidationError`, failed immediately and never retried;
 * **artifact custody** — with ``store`` set, unit results are persisted
   through the crash-safe checksummed :class:`~repro.runner.store.ArtifactStore`
-  and re-verified on write and on resume; corrupt artifacts are
-  quarantined and their benchmarks re-run;
+  and re-verified on write and on resume; a resumed queue re-runs every
+  unit whose artifact is missing or corrupt (the corrupt bytes are
+  quarantined);
 * **explicit degradation** — a run that lost benchmarks returns
   ``partial`` results plus a per-benchmark failure table; it is never
   silent.
@@ -38,13 +35,10 @@ Wraps the per-benchmark experiment units of ``analysis.experiment`` and
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiment import (
     ArchOutcome,
@@ -57,14 +51,10 @@ from ..sim.alpha import AlphaConfig
 from ..sim.decisions import load_or_capture, trace_fingerprint, trace_key
 from ..sim.metrics import ALL_ARCHS
 from ..workloads import SUITE, FIGURE4_PROGRAMS, generate_benchmark
-from .checkpoint import CheckpointJournal, config_fingerprint
 from .errors import (
-    BenchmarkTimeout,
-    CheckpointError,
     FatalError,
     TransientError,
     ValidationError,
-    WorkerCrash,
     annotate_stage,
     classify,
     stage_of,
@@ -74,38 +64,31 @@ from .retry import RetryPolicy, retry_rng
 from .store import ArtifactCorruptError, ArtifactStore
 from .validate import validate_profile
 
+if TYPE_CHECKING:  # the fabric imports this module; no runtime cycle
+    from ..fabric.workers import FabricConfig
+
 
 # ----------------------------------------------------------------------
 # Configuration and result types
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunnerConfig:
-    """How resilient a suite run should be.
+    """What each unit's pipeline checks, and how the inline loop retries.
 
-    The default configuration runs units inline (no subprocess), with
-    validation on and no checkpointing — the cheapest mode, used by the
-    library-level drivers.  The CLI enables isolation, timeouts and
-    checkpointing on top.
+    The default runs units inline with validation on — the cheapest
+    mode, used by the library-level drivers.  Isolation, timeouts and
+    resume belong to the fabric: hand :func:`run_units` a
+    :class:`repro.fabric.FabricConfig` alongside this config.
+    ``retry``, ``faults`` and ``fail_fast`` drive the inline loop only;
+    a supervised run takes its retry policy and fault plan from the
+    FabricConfig and refuses a RunnerConfig that sets them.
     """
 
-    #: Run each unit in a worker subprocess (implied by ``timeout``).
-    isolate: bool = False
-    #: Concurrent worker processes when isolated.
-    max_workers: int = 1
-    #: Per-benchmark wall-clock budget in seconds (None = unlimited).
-    timeout: Optional[float] = None
     retry: RetryPolicy = RetryPolicy()
-    #: JSONL checkpoint journal path (None disables checkpointing).
-    checkpoint: Optional[Union[str, Path]] = None
-    #: Resume from an existing checkpoint instead of starting fresh.
-    resume: bool = False
     #: Run invariant validation at stage boundaries.
     validate: bool = True
     #: Deterministic fault-injection plan (tests/demos only).
     faults: Optional[FaultPlan] = None
-    #: Whether timeouts / worker crashes count as retryable.
-    retry_timeouts: bool = False
-    retry_crashes: bool = True
     #: Re-raise the first failure instead of recording it (legacy mode).
     fail_fast: bool = False
     #: Differentially verify every aligned layout (see ``repro.oracle``).
@@ -123,10 +106,6 @@ class RunnerConfig:
     meld: bool = False
     #: Directory of the crash-safe artifact store (None disables it).
     store: Optional[Union[str, Path]] = None
-    #: Simulation engine: ``"replay"`` captures each workload's decision
-    #: trace once and replays it through every aligned layout;
-    #: ``"execute"`` keeps the legacy one-execution-per-layout path.
-    engine: str = "replay"
     #: Differentially check every replay against a fresh execution
     #: (slow).  Left False, ``REPRO_REPLAY_CHECK=1`` in the environment
     #: of the process running a unit turns the check on all the same.
@@ -142,34 +121,14 @@ class BenchmarkFailure:
 
     benchmark: str
     stage: str
-    kind: str  # transient | validation | timeout | crash | fatal | error
+    #: transient | validation | fatal | error (inline or supervised),
+    #: timeout | crash | poison | drained (supervised only)
+    kind: str
     message: str
     attempts: int
     retryable: bool
     #: The underlying exception when available (not serialised).
     error: Optional[BaseException] = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        """Serialise for checkpoint journaling (drops the live exception)."""
-        return {
-            "benchmark": self.benchmark,
-            "stage": self.stage,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-            "retryable": self.retryable,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchmarkFailure":
-        return cls(
-            benchmark=str(data.get("benchmark", "?")),
-            stage=str(data.get("stage", "unknown")),
-            kind=str(data.get("kind", "error")),
-            message=str(data.get("message", "")),
-            attempts=int(data.get("attempts", 1)),
-            retryable=bool(data.get("retryable", False)),
-        )
 
 
 @dataclass
@@ -180,11 +139,12 @@ class SuiteRunResult:
     #: in requested benchmark order.
     results: List[object]
     failures: List[BenchmarkFailure]
-    #: Benchmarks restored from the checkpoint instead of re-run.
+    #: Benchmarks restored from a resumed fabric queue instead of re-run.
     skipped: List[str]
     #: Benchmarks actually executed this run.
     executed: List[str]
-    checkpoint: Optional[Path] = None
+    #: The durable fabric queue directory, when the run had one.
+    queue: Optional[Path] = None
 
     @property
     def partial(self) -> bool:
@@ -214,7 +174,6 @@ class UnitTask:
     prove: bool = False
     lint: bool = False
     meld: bool = False
-    engine: str = "replay"
     replay_check: bool = False
     trace_cache: Optional[Union[str, Path]] = None
     #: Registered aligner names to compete (None = the whole registry).
@@ -236,10 +195,12 @@ def _stage(name: str):
 def execute_unit(task: UnitTask) -> dict:
     """Run one benchmark unit and return its serialised payload.
 
-    This is the function worker subprocesses execute; it regenerates the
-    workload from the benchmark name (programs never cross the process
-    boundary), applies any injected faults at stage boundaries, and
-    validates invariants between stages.
+    This is the function both substrates execute — the inline loop and
+    every fabric worker; it regenerates the workload from the benchmark
+    name (programs never cross the process boundary), applies any
+    injected faults at stage boundaries, and validates invariants
+    between stages.  Experiment units capture (or load) the workload's
+    decision trace once and replay it through every aligned layout.
     """
     injector = FaultInjector(task.faults)
     name, attempt = task.benchmark, task.attempt
@@ -260,7 +221,7 @@ def execute_unit(task: UnitTask) -> dict:
                 meld_ctx = (original, program, tuple(meld_report.applied))
 
     trace = None
-    if task.kind == "experiment" and task.engine == "replay":
+    if task.kind == "experiment":
         with _stage("trace"):
             trace_store = (
                 ArtifactStore(task.trace_cache)
@@ -328,7 +289,6 @@ def execute_unit(task: UnitTask) -> dict:
                 min_weight=task.min_weight,
                 archs=task.archs,
                 validate=task.validate,
-                engine=task.engine,
                 trace=trace,
                 # False defers to REPRO_REPLAY_CHECK, as a direct call does.
                 replay_check=task.replay_check or None,
@@ -439,7 +399,7 @@ def _run_prove(task: UnitTask, program, layouts) -> None:
 
 
 # ----------------------------------------------------------------------
-# Payload (de)serialisation — checkpoint records and subprocess returns
+# Payload (de)serialisation — fabric results and store artifacts
 # ----------------------------------------------------------------------
 def experiment_to_dict(experiment: BenchmarkExperiment) -> dict:
     return {
@@ -478,14 +438,14 @@ def experiment_from_dict(data: dict) -> BenchmarkExperiment:
                 }
                 for aligner, cells in data["outcomes"].items()
             },
-            # Absent in pre-registry checkpoints; tolerate those.
+            # Absent in pre-registry payloads; tolerate those.
             skips={
                 aligner: dict(reasons)
                 for aligner, reasons in data.get("skips", {}).items()
             },
         )
     except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed experiment payload: {exc}") from exc
+        raise FatalError(f"malformed experiment payload: {exc}") from exc
 
 
 def figure4_row_to_dict(row: Figure4Row) -> dict:
@@ -506,7 +466,7 @@ def figure4_row_from_dict(data: dict) -> Figure4Row:
             try15_cycles=data["try15_cycles"],
         )
     except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed figure4 payload: {exc}") from exc
+        raise FatalError(f"malformed figure4 payload: {exc}") from exc
 
 
 def payload_to_result(payload: dict) -> object:
@@ -516,43 +476,28 @@ def payload_to_result(payload: dict) -> object:
         return experiment_from_dict(payload.get("data", {}))
     if unit == "figure4":
         return figure4_row_from_dict(payload.get("data", {}))
-    raise CheckpointError(f"unrecognised checkpoint payload kind {unit!r}")
+    raise FatalError(f"unrecognised unit payload kind {unit!r}")
 
 
 # ----------------------------------------------------------------------
-# Failure handling
+# The inline loop
 # ----------------------------------------------------------------------
-def _is_retryable(exc: BaseException, config: RunnerConfig) -> bool:
-    if isinstance(exc, TransientError):
-        return True
-    if isinstance(exc, BenchmarkTimeout):
-        return config.retry_timeouts
-    if isinstance(exc, WorkerCrash):
-        return config.retry_crashes
-    return False
-
-
-def _failure_from_exception(
-    task: UnitTask, exc: BaseException, attempts: int, config: RunnerConfig
-) -> BenchmarkFailure:
+def _failure_from_exception(task: UnitTask, exc: BaseException, attempts: int) -> BenchmarkFailure:
     return BenchmarkFailure(
         benchmark=task.benchmark,
-        stage=stage_of(exc, "subprocess" if isinstance(exc, (WorkerCrash, BenchmarkTimeout)) else "unknown"),
+        stage=stage_of(exc),
         kind=classify(exc),
         message=f"{type(exc).__name__}: {exc}",
         attempts=attempts,
-        retryable=_is_retryable(exc, config),
+        retryable=isinstance(exc, TransientError),
         error=exc,
     )
 
 
-# ----------------------------------------------------------------------
-# Execution loops
-# ----------------------------------------------------------------------
 def _run_inline(
     pending: Sequence[UnitTask],
     config: RunnerConfig,
-    on_success: Callable[[str, dict], None],
+    on_success: Callable[[UnitTask, dict], None],
     on_failure: Callable[[BenchmarkFailure], None],
 ) -> None:
     """Execute units in this process (no isolation, no timeouts)."""
@@ -565,7 +510,7 @@ def _run_inline(
             except Exception as exc:
                 if config.fail_fast:
                     raise
-                if _is_retryable(exc, config) and attempt < config.retry.max_attempts:
+                if isinstance(exc, TransientError) and attempt < config.retry.max_attempts:
                     rng = retry_rng(task.seed, f"{task.benchmark}:{attempt}")
                     delay = config.retry.delay(attempt, rng)
                     # Per-unit cumulative backoff budget: once a unit has
@@ -576,190 +521,59 @@ def _run_inline(
                         slept += delay
                         attempt += 1
                         continue
-                on_failure(_failure_from_exception(task, exc, attempt, config))
+                on_failure(_failure_from_exception(task, exc, attempt))
                 break
             else:
-                on_success(task.benchmark, payload)
+                on_success(task, payload)
                 break
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool's worker processes (hung or poisoned pool).
-
-    Idempotent: an already-shut-down pool's ``_processes`` map may be
-    ``None`` rather than empty, and ``shutdown`` may be re-entered by a
-    ``finally`` after an exceptional teardown — neither may raise or
-    leak processes.
-    """
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - process already gone
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - interpreter teardown races
-        pass
-
-
-def _run_isolated(
-    pending: Sequence[UnitTask],
-    config: RunnerConfig,
-    on_success: Callable[[str, dict], None],
-    on_failure: Callable[[BenchmarkFailure], None],
-) -> None:
-    """Execute units in worker subprocesses with timeout enforcement.
-
-    A hang (unit exceeding ``config.timeout``) terminates the worker
-    pool: the hung unit fails with :class:`BenchmarkTimeout`, innocent
-    in-flight units are re-queued without being charged an attempt, and
-    a fresh pool takes over.  A worker that dies (hard crash, OOM kill)
-    breaks the pool; every in-flight unit is charged a
-    :class:`WorkerCrash` attempt — the crasher exhausts its retries
-    while innocent victims succeed on re-run.
-    """
-    queue = deque((task, 1) for task in pending)
-    inflight: Dict[object, Tuple[UnitTask, int, float]] = {}
-    pool: Optional[ProcessPoolExecutor] = None
-    poll = 0.05
-    slept: Dict[str, float] = {}
-
-    def settle(task: UnitTask, attempt: int, exc: BaseException) -> None:
-        if config.fail_fast:
-            raise exc
-        if _is_retryable(exc, config) and attempt < config.retry.max_attempts:
-            rng = retry_rng(task.seed, f"{task.benchmark}:{attempt}")
-            delay = config.retry.delay(attempt, rng)
-            # Per-unit cumulative backoff budget (max_total_delay).
-            if config.retry.within_budget(slept.get(task.benchmark, 0.0), delay):
-                time.sleep(delay)
-                slept[task.benchmark] = slept.get(task.benchmark, 0.0) + delay
-                queue.append((task, attempt + 1))
-                return
-        on_failure(_failure_from_exception(task, exc, attempt, config))
-
-    def collect(future: object, task: UnitTask, attempt: int) -> bool:
-        """Absorb one finished future; True when it broke the pool."""
-        try:
-            payload = future.result()
-        except (BrokenProcessPool, CancelledError, EOFError, OSError) as exc:
-            settle(
-                task,
-                attempt,
-                WorkerCrash(
-                    f"worker process died while {task.benchmark} was in flight "
-                    f"({type(exc).__name__})"
-                ),
-            )
-            return True
-        except Exception as exc:
-            settle(task, attempt, exc)
-            return False
-        else:
-            on_success(task.benchmark, payload)
-            return False
-
-    try:
-        while queue or inflight:
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=config.max_workers)
-            while queue and len(inflight) < config.max_workers:
-                task, attempt = queue.popleft()
-                future = pool.submit(execute_unit, replace(task, attempt=attempt))
-                inflight[future] = (task, attempt, time.monotonic())
-
-            done, _ = wait(set(inflight), timeout=poll, return_when=FIRST_COMPLETED)
-            pool_broken = False
-            for future in done:
-                task, attempt, _started = inflight.pop(future)
-                pool_broken |= collect(future, task, attempt)
-            if pool_broken:
-                _kill_pool(pool)
-                pool = None
-
-            if config.timeout is not None and inflight:
-                now = time.monotonic()
-                hung = {
-                    future
-                    for future, (_t, _a, started) in inflight.items()
-                    if now - started > config.timeout
-                }
-                if hung:
-                    victims = dict(inflight)
-                    inflight.clear()
-                    finished = {f: f.done() for f in victims}
-                    if pool is not None:
-                        _kill_pool(pool)
-                        pool = None
-                    for future, (task, attempt, _started) in victims.items():
-                        if future in hung:
-                            settle(
-                                task,
-                                attempt,
-                                BenchmarkTimeout(
-                                    f"{task.benchmark} exceeded the "
-                                    f"{config.timeout:g}s wall-clock budget and "
-                                    f"its worker was killed"
-                                ),
-                            )
-                        elif finished[future]:
-                            collect(future, task, attempt)
-                        else:
-                            # Killed alongside the hung unit through no
-                            # fault of its own: re-queue, attempt unchanged.
-                            queue.appendleft((task, attempt))
-    finally:
-        if pool is not None:
-            _kill_pool(pool)
 
 
 # ----------------------------------------------------------------------
 # Suite orchestration
 # ----------------------------------------------------------------------
-def _fingerprint(tasks: Sequence[UnitTask]) -> Tuple[str, dict]:
-    head = tasks[0]
-    summary = {
-        "unit": head.kind,
-        "benchmarks": [t.benchmark for t in tasks],
-        "scale": head.scale,
-        "seed": head.seed,
-        "window": head.window,
-        "archs": list(head.archs),
-        "min_weight": head.min_weight,
-        "meld": head.meld,
-        "algorithms": list(head.algorithms) if head.algorithms is not None else None,
-        "profile_source": head.profile_source,
-    }
-    return config_fingerprint(summary), summary
+def run_units(
+    tasks: Sequence[UnitTask],
+    config: Optional[RunnerConfig] = None,
+    fabric: Optional["FabricConfig"] = None,
+) -> SuiteRunResult:
+    """Run a list of benchmark units (one per benchmark).
 
-
-def run_units(tasks: Sequence[UnitTask], config: Optional[RunnerConfig] = None) -> SuiteRunResult:
-    """Run a list of benchmark units under a :class:`RunnerConfig`."""
+    ``config`` sets what each unit's pipeline checks; the units run
+    inline, or under ``fabric`` through :func:`repro.fabric.run_fabric`
+    when a :class:`~repro.fabric.FabricConfig` is given.
+    """
     config = config or RunnerConfig()
     if not tasks:
         return SuiteRunResult([], [], [], [])
+    if fabric is not None and (
+        config.faults is not None or config.fail_fast or config.retry != RetryPolicy()
+    ):
+        raise ValueError(
+            "a supervised run takes its retry policy and fault plan from the "
+            "FabricConfig; leave retry, faults and fail_fast unset on the "
+            "RunnerConfig"
+        )
+    faults = fabric.faults if fabric is not None else config.faults
     order = [t.benchmark for t in tasks]
-    kinds = {t.benchmark: t.kind for t in tasks}
     payloads: Dict[str, dict] = {}
     failures: Dict[str, BenchmarkFailure] = {}
     skipped: List[str] = []
     executed: List[str] = []
-    journal: Optional[CheckpointJournal] = None
     store = ArtifactStore(config.store) if config.store is not None else None
-    store_injector = FaultInjector(config.faults)
+    store_injector = FaultInjector(faults)
 
-    def artifact_key(name: str) -> str:
-        return f"{kinds[name]}/{name}"
+    def artifact_key(task: UnitTask) -> str:
+        return f"{task.kind}/{task.benchmark}"
 
-    def artifact_intact(name: str) -> bool:
-        """Whether a checkpointed benchmark's stored artifact verifies.
+    def artifact_intact(task: UnitTask) -> bool:
+        """Whether a unit's stored artifact verifies (resume custody).
 
-        A missing or corrupt artifact disqualifies the checkpoint entry:
-        the corrupt bytes are quarantined and the benchmark re-runs.
+        A missing or corrupt artifact disqualifies the queue's record:
+        the corrupt bytes are quarantined and the unit re-runs.
         """
         if store is None:
             return True
-        key = artifact_key(name)
+        key = artifact_key(task)
         if key not in store:
             return False
         try:
@@ -769,21 +583,11 @@ def run_units(tasks: Sequence[UnitTask], config: Optional[RunnerConfig] = None) 
             store.quarantine(key)
             return False
 
-    if config.checkpoint is not None:
-        fingerprint, summary = _fingerprint(tasks)
-        if config.resume:
-            journal = CheckpointJournal.resume(config.checkpoint, fingerprint, summary)
-            for name, payload in journal.completed.items():
-                if name in order and artifact_intact(name):
-                    payloads[name] = payload
-                    skipped.append(name)
-        else:
-            journal = CheckpointJournal.create(config.checkpoint, fingerprint, summary)
-
-    def on_success(name: str, payload: dict) -> None:
+    def on_success(task: UnitTask, payload: dict) -> None:
+        name = task.benchmark
         executed.append(name)
         if store is not None:
-            key = artifact_key(name)
+            key = artifact_key(task)
             path = store.put(key, payload)
             store_injector.corrupt_artifact(name, 1, path)
             try:
@@ -791,60 +595,58 @@ def run_units(tasks: Sequence[UnitTask], config: Optional[RunnerConfig] = None) 
             except ArtifactCorruptError as exc:
                 annotate_stage(exc, "store")
                 store.quarantine(key)
-                on_failure(
-                    BenchmarkFailure(
-                        benchmark=name,
-                        stage="store",
-                        kind=classify(exc),
-                        message=f"{type(exc).__name__}: {exc}",
-                        attempts=1,
-                        retryable=False,
-                        error=exc,
-                    )
-                )
+                on_failure(_failure_from_exception(task, exc, 1))
                 return
         payloads[name] = payload
-        if journal is not None:
-            journal.record_result(name, payload)
+
+    def on_restored(task: UnitTask, payload: dict) -> None:
+        skipped.append(task.benchmark)
+        payloads[task.benchmark] = payload
 
     def on_failure(failure: BenchmarkFailure) -> None:
         failures[failure.benchmark] = failure
-        if journal is not None:
-            journal.record_failure(failure.benchmark, failure.to_dict())
 
     pending = [
         replace(
             task,
             validate=config.validate,
-            faults=config.faults,
+            faults=faults,
             oracle=config.oracle or task.oracle,
             prove=config.prove or task.prove,
             lint=config.lint or task.lint,
             meld=config.meld or task.meld,
-            engine=config.engine,
             replay_check=config.replay_check or task.replay_check,
             trace_cache=(
                 config.trace_cache if config.trace_cache is not None else task.trace_cache
             ),
         )
         for task in tasks
-        if task.benchmark not in payloads
     ]
-    try:
-        if config.isolate or config.timeout is not None:
-            _run_isolated(pending, config, on_success, on_failure)
-        else:
-            _run_inline(pending, config, on_success, on_failure)
-    finally:
-        if journal is not None:
-            journal.close()
+    queue = None
+    if fabric is None:
+        _run_inline(pending, config, on_success, on_failure)
+    else:
+        from ..fabric import DONE, run_fabric
+
+        run = run_fabric(
+            pending, fabric, restorable=artifact_intact if store is not None else None
+        )
+        resumed = set(run.resumed)
+        for unit_id in run.scheduler.order:
+            record = run.scheduler.record(unit_id)
+            payload = run.scheduler.get_payload(unit_id) if record.state == DONE else None
+            if payload is None:
+                on_failure(run.failure_of(record))
+            elif record.task is not None:
+                (on_restored if unit_id in resumed else on_success)(record.task, payload)
+        queue = run.scheduler.root
 
     return SuiteRunResult(
         results=[payload_to_result(payloads[n]) for n in order if n in payloads],
         failures=[failures[n] for n in order if n in failures],
         skipped=[n for n in order if n in skipped],
         executed=executed,
-        checkpoint=Path(config.checkpoint) if config.checkpoint is not None else None,
+        queue=queue,
     )
 
 
@@ -858,6 +660,7 @@ def run_suite_resilient(
     config: Optional[RunnerConfig] = None,
     algorithms: Optional[Sequence[str]] = None,
     profile_source: str = "measured",
+    fabric: Optional["FabricConfig"] = None,
 ) -> SuiteRunResult:
     """The Tables 3/4 suite experiment under the resilient runner."""
     selected = list(names) if names is not None else list(SUITE)
@@ -875,7 +678,7 @@ def run_suite_resilient(
         )
         for name in selected
     ]
-    return run_units(tasks, config)
+    return run_units(tasks, config, fabric)
 
 
 def run_figure4_resilient(
@@ -885,6 +688,7 @@ def run_figure4_resilient(
     window: int = 15,
     alpha_config: Optional[AlphaConfig] = None,
     config: Optional[RunnerConfig] = None,
+    fabric: Optional["FabricConfig"] = None,
 ) -> SuiteRunResult:
     """The Figure 4 timing experiment under the resilient runner."""
     selected = list(names) if names is not None else list(FIGURE4_PROGRAMS)
@@ -899,7 +703,7 @@ def run_figure4_resilient(
         )
         for name in selected
     ]
-    return run_units(tasks, config)
+    return run_units(tasks, config, fabric)
 
 
 # ----------------------------------------------------------------------

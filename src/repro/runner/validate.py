@@ -3,7 +3,7 @@
 The experiment pipeline moves data through four representations —
 CFG → edge profile → layout → linked image — and each hand-off has
 invariants that, when silently violated (a truncated profile file, a
-buggy aligner, a stale checkpoint), produce *wrong numbers* rather than
+buggy aligner, a stale cached trace), produce *wrong numbers* rather than
 crashes.  Profile-guided layout tools guard exactly these seams (see
 Newell & Pupyrev, "Improved Basic Block Reordering", on stale/
 inconsistent profiles producing bad layouts).  This module makes the

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from ..isa.encoder import LinkedProgram
 from ..profiling.condmix import CondMixListener
 from ..profiling.edge_profile import EdgeProfile
-from .decisions import DecisionTrace, capture_decisions
+from .decisions import DecisionTrace
 from .executor import ExecutionResult, execute
 from .predictors import (
     BTBSim,
@@ -139,7 +139,7 @@ def _simulate_execute(
     seed: int,
     max_events: Optional[int],
 ) -> SimulationReport:
-    """The legacy engine: one full execution feeding every simulator."""
+    """One full execution feeding every simulator (the reference judge)."""
     mix = CondMixListener()
     result: ExecutionResult = execute(
         linked, listeners=list(sims) + [mix], seed=seed, max_events=max_events
@@ -160,7 +160,6 @@ def simulate(
     max_events: Optional[int] = None,
     *,
     trace: Optional[DecisionTrace] = None,
-    engine: Optional[str] = None,
     replay_check: Optional[bool] = None,
 ) -> SimulationReport:
     """Evaluate a linked binary on every architecture simulator.
@@ -168,17 +167,17 @@ def simulate(
     ``profile`` supplies the likely bits for the LIKELY architecture (and
     is the same profile that drove the alignment, per the paper).
 
-    Engine selection: an explicit ``engine`` ("execute" or "replay")
-    wins; otherwise passing a ``trace`` selects the replay engine and
-    plain calls keep the legacy single-execution path.  With
-    ``engine="replay"`` and no trace, one is captured on the fly — same
-    result, none of the reuse.  The legacy path stays addressable as
-    ``engine="execute"`` for one release while replay bakes in.
+    Given the workload's decision ``trace`` the simulators are fed by
+    replaying it through this layout — the pipeline's path, where one
+    capture serves every layout.  Without a trace the binary is executed
+    once, feeding every simulator directly: the reference judge that
+    trace capture, claims 13/14, ``replay_check`` and the tests hold
+    replay to.
 
     ``replay_check`` (or the ``REPRO_REPLAY_CHECK=1`` environment
-    variable) runs both engines on identical simulator copies and raises
-    :class:`~repro.sim.replay.ReplayMismatchError` unless the two
-    :class:`SimulationReport`\\ s are bit-identical.
+    variable) makes a replay also execute on identical simulator copies
+    and raises :class:`~repro.sim.replay.ReplayMismatchError` unless the
+    two :class:`SimulationReport`\\ s are bit-identical.
 
     Duplicate simulator instances in ``archs`` are dropped (by identity):
     feeding the same object twice would double-count every event.
@@ -187,17 +186,11 @@ def simulate(
         sims = list(dict.fromkeys(archs))
     else:
         sims = default_architectures(linked, profile)
-    if engine is None:
-        engine = "replay" if trace is not None else "execute"
-    if engine == "execute":
+    if trace is None:
         return _simulate_execute(linked, sims, seed, max_events)
-    if engine != "replay":
-        raise ValueError(f"unknown simulation engine {engine!r}")
 
     from .replay import ReplayMismatchError, run_architectures
 
-    if trace is None:
-        trace = capture_decisions(linked.program, seed=seed)
     if replay_check is None:
         replay_check = replay_check_enabled()
     shadow = copy.deepcopy(sims) if replay_check else None

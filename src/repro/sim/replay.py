@@ -57,7 +57,7 @@ from .predictors.static_ import BTFNTSim, FallthroughSim, LikelySim
 
 
 class ReplayMismatchError(AssertionError):
-    """The replay engine disagreed with the legacy execute engine."""
+    """Replaying a trace disagreed with executing the binary."""
 
 
 #: One realised branch event: (kind, site address, target address, taken).

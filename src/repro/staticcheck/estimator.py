@@ -258,10 +258,10 @@ def cross_validate(
     one layout); pass the original binary's count to compare the paper's
     relative-CPI numbers.
 
-    The comparison is sharpest when ``report`` comes from the replay
-    engine driven by the same decision trace that produced the estimator's
-    profile (``simulate(..., trace=trace, engine="replay")`` with
-    ``profile = trace.edge_profile(program)``): both sides then describe
+    The comparison is sharpest when ``report`` replays the same decision
+    trace that produced the estimator's profile (``simulate(...,
+    trace=trace)`` with ``profile = trace.edge_profile(program)``): both
+    sides then describe
     the identical dynamic run and any residual error is attributable to
     the estimator's aggregation, not to behavioural divergence between
     two executions.

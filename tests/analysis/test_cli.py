@@ -95,29 +95,77 @@ class TestResilienceFlags:
         assert "fault spec" in capsys.readouterr().err
 
     def test_resume_requires_checkpoint(self, capsys):
+        # The fabric queue is the checkpoint: --resume needs --queue.
         assert main(["table3", "--benchmarks", "alvinn", "--resume"]) == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        assert "--queue" in capsys.readouterr().err
 
     def test_checkpoint_resume_via_cli(self, tmp_path, capsys):
-        ckpt = str(tmp_path / "c.jsonl")
+        queue = str(tmp_path / "q")
         assert main(["table3", "--benchmarks", "alvinn,compress",
-                     "--scale", "0.02", "--checkpoint", ckpt,
+                     "--scale", "0.02", "--queue", queue,
                      "--inject", "alvinn:align:crash:99"]) == 3
         capsys.readouterr()
         assert main(["table3", "--benchmarks", "alvinn,compress",
-                     "--scale", "0.02", "--checkpoint", ckpt, "--resume"]) == 0
+                     "--scale", "0.02", "--queue", queue, "--resume"]) == 0
         captured = capsys.readouterr()
-        assert "resumed" in captured.err
+        assert "resumed: 1 benchmark(s)" in captured.err
         assert "alvinn" in captured.out and "compress" in captured.out
 
     def test_mismatched_resume_is_runtime_error(self, tmp_path, capsys):
-        ckpt = str(tmp_path / "c.jsonl")
+        queue = str(tmp_path / "q")
         assert main(["table3", "--benchmarks", "compress", "--scale", "0.02",
-                     "--checkpoint", ckpt]) == 0
+                     "--queue", queue]) == 0
         capsys.readouterr()
         assert main(["table3", "--benchmarks", "compress", "--scale", "0.05",
-                     "--checkpoint", ckpt, "--resume"]) == 1
-        assert "different run configuration" in capsys.readouterr().err
+                     "--queue", queue, "--resume"]) == 1
+        assert "different sweep" in capsys.readouterr().err
+
+    def test_meld_resume_under_other_config_is_runtime_error(self, tmp_path, capsys):
+        queue = str(tmp_path / "q")
+        assert main(["table3", "--benchmarks", "eqntott", "--scale", "0.02",
+                     "--meld", "--queue", queue]) == 0
+        capsys.readouterr()
+        assert main(["table3", "--benchmarks", "eqntott", "--scale", "0.02",
+                     "--queue", queue, "--resume"]) == 1
+        assert "different sweep" in capsys.readouterr().err
+
+    def test_hard_crash_is_confined_under_workers(self, capsys):
+        assert main(["table3", "--benchmarks", "alvinn,compress",
+                     "--scale", "0.02", "--workers", "2",
+                     "--inject", "alvinn:align:hard-crash:99"]) == 3
+        captured = capsys.readouterr()
+        assert "poison" in captured.err
+        assert "compress" in captured.out
+
+    def test_hang_is_killed_by_timeout(self, capsys):
+        assert main(["table3", "--benchmarks", "alvinn,compress",
+                     "--scale", "0.02", "--timeout", "3",
+                     "--inject", "alvinn:simulate:hang:99"]) == 3
+        assert "timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, missing", [
+        ("align:hard-crash", "--workers"),
+        ("fabric:kill-worker", "--workers"),
+        ("fabric:stall-worker", "--workers"),
+        ("fabric:expire-lease", "--workers"),
+        ("fabric:corrupt-queue", "--queue"),
+        ("fabric:poison-unit", "--workers"),
+        ("simulate:hang", "--timeout"),
+    ])
+    def test_unobservable_fault_is_usage_error(self, capsys, kind, missing):
+        assert main(["table3", "--benchmarks", "alvinn", "--scale", "0.02",
+                     "--inject", f"alvinn:{kind}"]) == 2
+        assert missing in capsys.readouterr().err
+
+    def test_hang_under_workers_still_needs_timeout(self, capsys):
+        assert main(["table3", "--benchmarks", "alvinn", "--scale", "0.02",
+                     "--workers", "2", "--inject", "alvinn:simulate:hang"]) == 2
+        assert "--timeout" in capsys.readouterr().err
+
+    def test_network_fault_is_usage_error(self, capsys):
+        assert main(["table3", "--benchmarks", "alvinn", "--scale", "0.02",
+                     "--workers", "2", "--inject", "alvinn:fabric:drop-message"]) == 2
+        assert "--listen" in capsys.readouterr().err
 
 
 class TestDot:

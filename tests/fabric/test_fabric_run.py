@@ -15,6 +15,8 @@ import pytest
 from repro.analysis.experiment import BenchmarkExperiment, run_suite_experiment
 from repro.fabric import (
     DONE,
+    FAILED,
+    PENDING,
     FabricConfig,
     build_report,
     diff_reports,
@@ -101,9 +103,28 @@ class TestChaos:
         assert poison.benchmark == "eqntott"
         assert len(set(poison.crash_workers)) == 2
         assert all("injected poison" in tb for tb in poison.tracebacks)
-        # The poison unit surfaces in the classic suite-result bridge too.
-        bridged = result.to_suite_result()
-        assert any(f.kind == "poison" for f in bridged.failures)
+        # The poison unit surfaces as a runner failure record too.
+        assert result.failure_of(poison).kind == "poison"
+
+    def test_timeout_fails_a_hung_unit_without_retry_or_poison_charge(self):
+        # The hang heals after one attempt, so a retry would succeed.
+        plan = FaultPlan(specs=(FaultSpec("eqntott", "simulate", "hang"),))
+        result = run_fabric(tasks_for("eqntott", "compress"),
+                            config_with(timeout=2.0, poison_threshold=1, faults=plan))
+        assert result.counts()[DONE] == 1
+        hung = result.scheduler.record(result.scheduler.order[0])
+        assert (hung.state, hung.attempts, hung.crash_workers) == (FAILED, 1, [])
+        assert [f.kind for f in result.failures] == ["timeout"]
+
+    def test_unsettled_unit_reports_as_drained(self):
+        result = run_fabric(tasks_for("compress"), config_with(workers=1))
+        record = result.scheduler.record(result.scheduler.order[0])
+        record.state = PENDING  # as a SIGTERM drain leaves it
+        assert result.failure_of(record).kind == "drained"
+
+    def test_timeout_must_be_positive(self):
+        with pytest.raises(ValueError, match="timeout"):
+            FabricConfig(timeout=0.0)
 
     def test_corrupt_queue_record_is_rewritten_by_next_transition(self, tmp_path):
         plan = FaultPlan(specs=(FaultSpec("eqntott", "fabric", "corrupt-queue"),))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.fabric import (
 from repro.fabric.scheduler import QUEUE_MANIFEST, UNITS_DIR, UnitRecord
 from repro.runner.retry import RetryPolicy
 from repro.runner.runner import UnitTask
+from repro.sim.alpha import AlphaConfig
 
 
 def tasks_for(*benchmarks: str) -> list:
@@ -47,6 +49,24 @@ class TestUnitIdentity:
         assert unit_id_for(a) != unit_id_for(
             UnitTask(kind="experiment", benchmark="eqntott", scale=0.1,
                      seed=0, window=15, archs=("btfnt",)))
+
+    @pytest.mark.parametrize("change", [
+        {"profile_source": "static"},
+        {"meld": True},
+        {"alpha_config": AlphaConfig(mispredict_cycles=8.0)},
+    ], ids=["profile_source", "meld", "alpha_config"])
+    def test_fingerprint_covers_result_changing_settings(self, tmp_path, change):
+        base = tasks_for("eqntott")[0]
+        changed = replace(base, **change)
+        assert unit_id_for(base) != unit_id_for(changed)
+        Scheduler([base], root=tmp_path)
+        with pytest.raises(QueueMismatch):
+            Scheduler([changed], root=tmp_path, resume=True)
+
+    def test_pipeline_checks_stay_out_of_the_fingerprint(self):
+        base = tasks_for("eqntott")[0]
+        checked = replace(base, oracle=True, prove=True, lint=True, replay_check=True)
+        assert unit_id_for(base) == unit_id_for(checked)
 
     def test_duplicate_tasks_collapse_to_one_unit(self):
         records = expand_units(tasks_for("eqntott", "eqntott", "compress"))

@@ -29,8 +29,8 @@ def test_replay_matches_execute_on_identity(program, seed):
     trace = capture_decisions(program, seed=seed)
     profile = trace.edge_profile(program)
     linked = link_identity(program)
-    replayed = simulate(linked, profile, seed=seed, trace=trace, engine="replay")
-    executed = simulate(linked, profile, seed=seed, engine="execute")
+    replayed = simulate(linked, profile, seed=seed, trace=trace)
+    executed = simulate(linked, profile, seed=seed)
     assert replayed == executed
 
 
@@ -48,8 +48,8 @@ def test_replay_matches_execute_on_aligned_layouts(program, seed, model):
         TryNAligner.for_architecture(model, window=7),
     ):
         linked = link(aligner.align(program, profile))
-        replayed = simulate(linked, profile, seed=seed, trace=trace, engine="replay")
-        executed = simulate(linked, profile, seed=seed, engine="execute")
+        replayed = simulate(linked, profile, seed=seed, trace=trace)
+        executed = simulate(linked, profile, seed=seed)
         assert replayed == executed
 
 
@@ -61,8 +61,8 @@ def test_persisted_trace_replays_identically(program, seed):
     revived = decode_trace(encode_trace(trace))
     profile = trace.edge_profile(program)
     linked = link_identity(program)
-    assert simulate(linked, profile, trace=revived, engine="replay") == simulate(
-        linked, profile, trace=trace, engine="replay"
+    assert simulate(linked, profile, trace=revived) == simulate(
+        linked, profile, trace=trace
     )
 
 
@@ -77,9 +77,9 @@ def test_replay_cap_semantics_match(program, seed, cap):
     profile = trace.edge_profile(program)
     linked = link_identity(program)
     replayed = simulate(
-        linked, profile, seed=seed, max_events=cap, trace=trace, engine="replay"
+        linked, profile, seed=seed, max_events=cap, trace=trace
     )
-    executed = simulate(linked, profile, seed=seed, max_events=cap, engine="execute")
+    executed = simulate(linked, profile, seed=seed, max_events=cap)
     assert replayed == executed
 
 
@@ -170,7 +170,7 @@ def test_rule_overriding_phts_match_execute(program, seed):
         linked = link_identity(program) if layout is None else link(layout)
         for make in (LocalHistoryPHT, TournamentPHT):
             replayed = simulate(
-                linked, profile, archs=[make()], seed=seed, trace=trace, engine="replay"
+                linked, profile, archs=[make()], seed=seed, trace=trace
             )
-            executed = simulate(linked, profile, archs=[make()], seed=seed, engine="execute")
+            executed = simulate(linked, profile, archs=[make()], seed=seed)
             assert replayed == executed

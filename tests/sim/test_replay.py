@@ -41,8 +41,8 @@ def test_replay_bit_identical_across_layouts_and_archs(name):
     profile = trace.edge_profile(program)
     for label, layout in _layouts(program, profile).items():
         linked = link_identity(program) if layout is None else link(layout)
-        replayed = simulate(linked, profile, seed=0, trace=trace, engine="replay")
-        executed = simulate(linked, profile, seed=0, engine="execute")
+        replayed = simulate(linked, profile, seed=0, trace=trace)
+        executed = simulate(linked, profile, seed=0)
         assert replayed == executed, f"{name}/{label} diverged"
         assert set(replayed.arch) == set(ALL_ARCHS)
 
@@ -54,9 +54,9 @@ def test_replay_honours_max_events(cap):
     linked = link_identity(program)
     profile = trace.edge_profile(program)
     replayed = simulate(
-        linked, profile, seed=0, max_events=cap, trace=trace, engine="replay"
+        linked, profile, seed=0, max_events=cap, trace=trace
     )
-    executed = simulate(linked, profile, seed=0, max_events=cap, engine="execute")
+    executed = simulate(linked, profile, seed=0, max_events=cap)
     assert replayed == executed
 
 
@@ -99,9 +99,9 @@ def test_pht_subclasses_take_generic_path_and_still_match(loop_program):
     profile = profile_program(loop_program, seed=0)
     for make in (TournamentPHT, LocalHistoryPHT):
         replayed = simulate(
-            linked, profile, archs=[make()], seed=0, trace=trace, engine="replay"
+            linked, profile, archs=[make()], seed=0, trace=trace
         )
-        executed = simulate(linked, profile, archs=[make()], seed=0, engine="execute")
+        executed = simulate(linked, profile, archs=[make()], seed=0)
         assert replayed == executed
 
 
@@ -114,11 +114,11 @@ def test_default_architectures_match(call_program):
     replayed = simulate(
         linked, profile,
         archs=default_architectures(linked, profile), seed=0,
-        trace=trace, engine="replay",
+        trace=trace,
     )
     executed = simulate(
         linked, profile,
-        archs=default_architectures(linked, profile), seed=0, engine="execute",
+        archs=default_architectures(linked, profile), seed=0,
     )
     assert replayed == executed
 
@@ -132,9 +132,9 @@ class TestSimulateDedup:
         profile = profile_program(loop_program, seed=0)
         linked = link_identity(loop_program)
         sim = DirectMappedPHT()
-        report = simulate(linked, profile, archs=[sim, sim], seed=0, engine="execute")
+        report = simulate(linked, profile, archs=[sim, sim], seed=0)
         fresh = simulate(
-            linked, profile, archs=[DirectMappedPHT()], seed=0, engine="execute"
+            linked, profile, archs=[DirectMappedPHT()], seed=0
         )
         assert report.arch[sim.name] == fresh.arch[DirectMappedPHT().name]
 
@@ -155,10 +155,10 @@ class TestSimulateDedup:
         trace = capture_decisions(loop_program, seed=0)
         sim = FallthroughSim()
         report = simulate(
-            linked, profile, archs=[sim, sim], seed=0, trace=trace, engine="replay"
+            linked, profile, archs=[sim, sim], seed=0, trace=trace
         )
         fresh = simulate(
-            linked, profile, archs=[FallthroughSim()], seed=0, engine="execute"
+            linked, profile, archs=[FallthroughSim()], seed=0
         )
         assert report.arch[sim.name] == fresh.arch[sim.name]
 
@@ -245,7 +245,7 @@ class TestBTBConflictFallback:
             linked = link_identity(program) if layout is None else link(layout)
             sim = BTBSim(64, 2)
             overfull = self.overfull_sets(linked, trace, sim.btb)
-            simulate(linked, profile, archs=[sim], seed=0, trace=trace, engine="replay")
+            simulate(linked, profile, archs=[sim], seed=0, trace=trace)
             fell_back = any(fed_sim is sim and n for fed_sim, n in fed)
             assert fell_back == bool(overfull), label
             if overfull:

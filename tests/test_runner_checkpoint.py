@@ -1,23 +1,10 @@
-"""Checkpoint journal: round-trip, resume semantics, corruption handling."""
-
-import json
+"""Resume through the fabric queue: fingerprints and re-run semantics."""
 
 import pytest
 
-from repro.runner import (
-    CheckpointError,
-    CheckpointMismatch,
-    RunnerConfig,
-    run_suite_resilient,
-)
-from repro.runner.checkpoint import (
-    SCHEMA_VERSION,
-    CheckpointJournal,
-    config_fingerprint,
-)
-
-CONFIG = {"unit": "experiment", "benchmarks": ["a", "b"], "scale": 0.02}
-FP = config_fingerprint(CONFIG)
+from repro.fabric import FabricConfig, QueueMismatch
+from repro.fabric.scheduler import config_fingerprint
+from repro.runner import RunnerConfig, run_suite_resilient
 
 
 class TestFingerprint:
@@ -28,70 +15,8 @@ class TestFingerprint:
         assert config_fingerprint({"scale": 0.02}) != config_fingerprint({"scale": 0.05})
 
 
-class TestRoundTrip:
-    def test_results_survive_reopen(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with CheckpointJournal.create(path, FP, CONFIG) as journal:
-            journal.record_result("a", {"unit": "experiment", "data": {"x": 1}})
-            journal.record_failure("b", {"benchmark": "b", "kind": "crash"})
-        with CheckpointJournal.resume(path, FP, CONFIG) as journal:
-            assert journal.completed == {"a": {"unit": "experiment", "data": {"x": 1}}}
-            assert journal.failed == {"b": {"benchmark": "b", "kind": "crash"}}
-
-    def test_last_record_wins(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with CheckpointJournal.create(path, FP, CONFIG) as journal:
-            journal.record_failure("a", {"kind": "crash"})
-            journal.record_result("a", {"unit": "experiment", "data": {}})
-        with CheckpointJournal.resume(path, FP, CONFIG) as journal:
-            assert "a" in journal.completed
-            assert "a" not in journal.failed
-
-    def test_missing_file_starts_fresh(self, tmp_path):
-        with CheckpointJournal.resume(tmp_path / "new.jsonl", FP, CONFIG) as journal:
-            assert journal.completed == {} and journal.failed == {}
-
-
-class TestRejection:
-    def test_mismatched_fingerprint_refused(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        CheckpointJournal.create(path, FP, CONFIG).close()
-        with pytest.raises(CheckpointMismatch):
-            CheckpointJournal.resume(path, "0" * 16, {"scale": 0.05})
-
-    def test_wrong_format_refused(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        path.write_text(json.dumps({"kind": "header", "format": "other"}) + "\n")
-        with pytest.raises(CheckpointError):
-            CheckpointJournal.resume(path, FP, CONFIG)
-
-    def test_future_schema_refused(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        header = {
-            "kind": "header", "format": "repro-runner-checkpoint",
-            "schema": SCHEMA_VERSION + 1, "fingerprint": FP,
-        }
-        path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(CheckpointError):
-            CheckpointJournal.resume(path, FP, CONFIG)
-
-    def test_truncated_trailing_line_tolerated(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with CheckpointJournal.create(path, FP, CONFIG) as journal:
-            journal.record_result("a", {"unit": "experiment", "data": {}})
-        with open(path, "a") as handle:
-            handle.write('{"kind": "result", "benchmark": "b", "pa')
-        with CheckpointJournal.resume(path, FP, CONFIG) as journal:
-            assert set(journal.completed) == {"a"}
-
-    def test_malformed_interior_line_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with CheckpointJournal.create(path, FP, CONFIG) as journal:
-            journal.record_result("a", {"unit": "experiment", "data": {}})
-        text = path.read_text()
-        path.write_text("{ nope\n" + text)
-        with pytest.raises(CheckpointError):
-            CheckpointJournal.resume(path, FP, CONFIG)
+def queue(path, **kwargs):
+    return FabricConfig(workers=1, queue_dir=path, **kwargs)
 
 
 class TestSuiteResume:
@@ -100,11 +25,11 @@ class TestSuiteResume:
     def test_resume_skips_completed_and_reruns_failed(self, tmp_path):
         from repro.runner import FaultPlan, FaultSpec
 
-        path = tmp_path / "suite.jsonl"
+        path = tmp_path / "queue"
         first = run_suite_resilient(
             ["alvinn", "compress"], scale=0.02, archs=("fallthrough",),
-            config=RunnerConfig(
-                checkpoint=path,
+            fabric=queue(
+                path,
                 faults=FaultPlan((FaultSpec("alvinn", "align", "crash", times=99),)),
             ),
         )
@@ -114,34 +39,58 @@ class TestSuiteResume:
 
         second = run_suite_resilient(
             ["alvinn", "compress"], scale=0.02, archs=("fallthrough",),
-            config=RunnerConfig(checkpoint=path, resume=True),
+            fabric=queue(path, resume=True),
         )
         assert not second.partial
         assert second.executed == ["alvinn"]
         assert second.skipped == ["compress"]
+        assert second.queue == path
         assert [e.name for e in second.results] == ["alvinn", "compress"]
 
     def test_resume_with_different_config_refused(self, tmp_path):
-        path = tmp_path / "suite.jsonl"
+        path = tmp_path / "queue"
         run_suite_resilient(
-            ["compress"], scale=0.02, archs=("fallthrough",),
-            config=RunnerConfig(checkpoint=path),
+            ["compress"], scale=0.02, archs=("fallthrough",), fabric=queue(path),
         )
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(QueueMismatch):
             run_suite_resilient(
                 ["compress"], scale=0.05, archs=("fallthrough",),
-                config=RunnerConfig(checkpoint=path, resume=True),
+                fabric=queue(path, resume=True),
+            )
+
+    def test_resume_under_another_profile_source_refused(self, tmp_path):
+        path = tmp_path / "queue"
+        run_suite_resilient(
+            ["compress"], scale=0.02, archs=("fallthrough",),
+            algorithms=("orig", "try15"), fabric=queue(path),
+        )
+        with pytest.raises(QueueMismatch):
+            run_suite_resilient(
+                ["compress"], scale=0.02, archs=("fallthrough",),
+                algorithms=("orig", "try15"), profile_source="static",
+                fabric=queue(path, resume=True),
+            )
+
+    def test_resume_under_meld_refused(self, tmp_path):
+        path = tmp_path / "queue"
+        run_suite_resilient(
+            ["eqntott"], scale=0.02, archs=("fallthrough",), fabric=queue(path),
+        )
+        with pytest.raises(QueueMismatch):
+            run_suite_resilient(
+                ["eqntott"], scale=0.02, archs=("fallthrough",),
+                config=RunnerConfig(meld=True), fabric=queue(path, resume=True),
             )
 
     def test_restored_results_match_fresh_run(self, tmp_path):
-        path = tmp_path / "suite.jsonl"
+        path = tmp_path / "queue"
         fresh = run_suite_resilient(
-            ["compress"], scale=0.02, archs=("fallthrough",),
-            config=RunnerConfig(checkpoint=path),
+            ["compress"], scale=0.02, archs=("fallthrough",), fabric=queue(path),
         )
         resumed = run_suite_resilient(
             ["compress"], scale=0.02, archs=("fallthrough",),
-            config=RunnerConfig(checkpoint=path, resume=True),
+            fabric=queue(path, resume=True),
         )
         assert resumed.executed == []
+        assert resumed.skipped == ["compress"]
         assert resumed.results[0].outcomes == fresh.results[0].outcomes

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.cli import main
+from repro.fabric import FabricConfig
 from repro.runner import (
     ArtifactStore,
     FaultPlan,
@@ -144,11 +145,12 @@ class TestStoreInRunner:
 
     def test_resume_reruns_only_quarantined_benchmark(self, tmp_path):
         store_dir = tmp_path / "art"
-        ckpt = tmp_path / "ckpt.jsonl"
+        queue = tmp_path / "queue"
         names = ["compress", "eqntott"]
         first = run_suite_resilient(
             names, scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt),
+            config=RunnerConfig(store=store_dir),
+            fabric=FabricConfig(workers=2, queue_dir=queue),
         )
         assert not first.partial and len(first.executed) == 2
 
@@ -161,7 +163,8 @@ class TestStoreInRunner:
 
         second = run_suite_resilient(
             names, scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt, resume=True),
+            config=RunnerConfig(store=store_dir),
+            fabric=FabricConfig(workers=2, queue_dir=queue, resume=True),
         )
         assert not second.partial
         assert second.skipped == ["compress"]
@@ -172,17 +175,19 @@ class TestStoreInRunner:
     def test_resume_detects_corruption_without_explicit_repair(self, tmp_path):
         """--resume itself verifies artifacts; repair is not a prerequisite."""
         store_dir = tmp_path / "art"
-        ckpt = tmp_path / "ckpt.jsonl"
+        queue = tmp_path / "queue"
         run_suite_resilient(
             ["compress"], scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt),
+            config=RunnerConfig(store=store_dir),
+            fabric=FabricConfig(workers=1, queue_dir=queue),
         )
         store = ArtifactStore(store_dir)
         path = store.path_for("experiment/compress")
         path.write_text(path.read_text().replace(":", ";", 1))
         second = run_suite_resilient(
             ["compress"], scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt, resume=True),
+            config=RunnerConfig(store=store_dir),
+            fabric=FabricConfig(workers=1, queue_dir=queue, resume=True),
         )
         assert second.skipped == []
         assert second.executed == ["compress"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import run_suite_experiment
+from repro.fabric import FabricConfig
 from repro.runner import (
     FaultPlan,
     FaultSpec,
@@ -65,28 +66,30 @@ class TestPartialRuns:
 
 
 class TestIsolation:
-    """Subprocess workers confine crashes and hangs to one benchmark."""
+    """Fabric workers confine crashes and hangs to one benchmark."""
+
+    @staticmethod
+    def fabric(**kwargs):
+        kwargs.setdefault("workers", 2)
+        kwargs.setdefault("retry", FAST_RETRY)
+        return FabricConfig(**kwargs)
 
     def test_hard_crash_is_confined_to_its_benchmark(self):
         result = run_suite_resilient(
             ["alvinn", "compress"], scale=0.02, archs=ARCHS,
-            config=RunnerConfig(
-                isolate=True, retry=FAST_RETRY,
-                faults=crash_plan("alvinn", kind="hard-crash"),
-            ),
+            fabric=self.fabric(faults=crash_plan("alvinn", kind="hard-crash")),
         )
         assert result.partial
-        assert result.failures[0].benchmark == "alvinn"
-        assert result.failures[0].kind == "crash"
+        failure = result.failures[0]
+        assert failure.benchmark == "alvinn"
+        # It killed two distinct workers, so the fabric quarantined it.
+        assert (failure.stage, failure.kind) == ("fabric", "poison")
         assert [e.name for e in result.results] == ["compress"]
 
     def test_hard_crash_recovers_when_fault_heals(self):
         result = run_suite_resilient(
             ["compress"], scale=0.02, archs=ARCHS,
-            config=RunnerConfig(
-                isolate=True, retry=FAST_RETRY,
-                faults=crash_plan("compress", kind="hard-crash", times=1),
-            ),
+            fabric=self.fabric(faults=crash_plan("compress", kind="hard-crash", times=1)),
         )
         assert not result.partial
         assert [e.name for e in result.results] == ["compress"]
@@ -94,15 +97,15 @@ class TestIsolation:
     def test_timeout_kills_hung_benchmark(self):
         result = run_suite_resilient(
             ["alvinn", "compress"], scale=0.02, archs=ARCHS,
-            config=RunnerConfig(
-                timeout=5.0, retry=FAST_RETRY,
-                faults=crash_plan("alvinn", kind="hang", times=99),
+            fabric=self.fabric(
+                timeout=3.0, faults=crash_plan("alvinn", kind="hang", times=99),
             ),
         )
         assert result.partial
         failure = result.failures[0]
         assert failure.benchmark == "alvinn"
         assert failure.kind == "timeout"
+        assert failure.attempts == 1  # timeouts are never retried
         assert "wall-clock" in failure.message
         assert [e.name for e in result.results] == ["compress"]
 
@@ -111,9 +114,17 @@ class TestIsolation:
             ["compress"], scale=0.02, archs=ARCHS, config=RunnerConfig(),
         )
         isolated = run_suite_resilient(
-            ["compress"], scale=0.02, archs=ARCHS, config=RunnerConfig(isolate=True),
+            ["compress"], scale=0.02, archs=ARCHS, fabric=self.fabric(workers=1),
         )
         assert inline.results[0].outcomes == isolated.results[0].outcomes
+
+    def test_supervised_run_refuses_inline_retry_settings(self):
+        with pytest.raises(ValueError, match="FabricConfig"):
+            run_suite_resilient(
+                ["compress"], scale=0.02, archs=ARCHS,
+                config=RunnerConfig(faults=crash_plan("compress")),
+                fabric=self.fabric(),
+            )
 
 
 class TestLegacyMode:
