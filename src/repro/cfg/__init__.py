@@ -21,6 +21,7 @@ from .blocks import (
 )
 from .builder import ProcedureBuilder, ProgramBuilder
 from .dot import procedure_to_dot
+from .fingerprint import cfg_fingerprint, program_fingerprint
 from .procedure import CFGError, Procedure
 from .program import Program
 
@@ -37,6 +38,7 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "TerminatorKind",
+    "cfg_fingerprint",
     "dominates",
     "exit_blocks",
     "immediate_dominators",
@@ -45,5 +47,6 @@ __all__ = [
     "natural_loops",
     "postdominates",
     "procedure_to_dot",
+    "program_fingerprint",
     "reverse_postorder",
 ]

@@ -162,11 +162,6 @@ class BasicBlock:
         """Number of non-terminator instructions in the block."""
         return self.size - (1 if self.kind.has_branch_instruction else 0)
 
-    def successors_for_kind(self, edges: List[Edge]) -> Tuple[Edge, ...]:
-        """Return this block's out-edges, validated against its kind."""
-        mine = tuple(e for e in edges if e.src == self.bid)
-        return mine
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         name = self.label or f"B{self.bid}"
         return f"{name}({self.size},{self.kind.value})"

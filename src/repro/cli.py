@@ -57,7 +57,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -98,6 +98,7 @@ from .profiling import ProfileFormatError, load_profile, profile_program, save_p
 from .runner import (
     ArtifactStore,
     FaultPlan,
+    FaultSpec,
     InvariantResult,
     RetryPolicy,
     RunnerConfig,
@@ -149,6 +150,25 @@ def _benchmark_list(value: Optional[str]) -> Optional[List[str]]:
     return names
 
 
+def _arch_list(value: Optional[str]) -> Tuple[str, ...]:
+    """Parse ``--archs a,b,c`` (default: every architecture)."""
+    if not value:
+        return ALL_ARCHS
+    archs = tuple(a.strip() for a in value.split(",") if a.strip())
+    unknown = [a for a in archs if a not in ALL_ARCHS]
+    if unknown:
+        raise UsageError(f"unknown architectures: {', '.join(unknown)}")
+    return archs
+
+
+def _fault_specs(texts: Sequence[str]) -> Tuple[FaultSpec, ...]:
+    """Parse ``BENCH:STAGE:KIND[:TIMES]`` fault specs (``--inject``)."""
+    try:
+        return tuple(parse_fault_spec(text) for text in texts)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
     """``--retries`` as a policy, once the shared fabric flags check out."""
     if args.retries < 1:
@@ -176,6 +196,61 @@ def _fabric_config(args: argparse.Namespace, **settings):
         raise UsageError(f"--{str(exc).replace('_', '-')}")
 
 
+def _refuse_unobservable(
+    specs: Sequence[FaultSpec], args: argparse.Namespace, supervised: bool
+) -> None:
+    """Refuse faults nothing in this run can observe, naming the flag that would.
+
+    The table commands and ``sweep`` share this one guard; an observer
+    flag a command does not have counts as off.
+    """
+    from .runner.faults import FABRIC_FAULT_KINDS, NETWORK_FAULT_KINDS
+
+    def given(dest: str) -> bool:
+        return getattr(args, dest, None) not in (None, False)
+
+    kinds = {s.kind for s in specs}
+    if "corrupt-artifact" in kinds and not given("store"):
+        raise UsageError(
+            "corrupt-artifact faults need an artifact store; add --store DIR"
+        )
+    if any(s.stage == "layout" for s in specs) and not (given("oracle") or given("prove")):
+        raise UsageError(
+            "layout faults are only observable by the oracle or the "
+            "prover; add --oracle or --prove"
+        )
+    if "break-cfg" in kinds and not given("lint"):
+        raise UsageError(
+            "break-cfg faults are only observable by the linter; add --lint"
+        )
+    if "corrupt-trace" in kinds and not given("trace_cache"):
+        raise UsageError(
+            "corrupt-trace faults corrupt the on-disk trace cache; "
+            "add --trace-cache DIR"
+        )
+    network = sorted(kinds & set(NETWORK_FAULT_KINDS))
+    if network and not given("listen"):
+        raise UsageError(
+            f"network fault(s) {', '.join(network)} attack the socket "
+            f"tier, which only `repro sweep --listen [HOST:]PORT` serves"
+        )
+    killers = sorted(k for k in kinds if k == "hard-crash" or k in FABRIC_FAULT_KINDS)
+    if killers and not supervised:
+        raise UsageError(
+            f"{', '.join(killers)} faults only fire under the fabric; "
+            f"add --workers N (or --queue DIR / --timeout SECONDS)"
+        )
+    if "corrupt-queue" in kinds and not given("queue"):
+        raise UsageError(
+            "corrupt-queue faults garble a durable queue record; add --queue DIR"
+        )
+    if "hang" in kinds and not given("timeout"):
+        raise UsageError(
+            "hang faults sleep for an hour unless a wall-clock budget "
+            "kills them; add --timeout SECONDS"
+        )
+
+
 def _runner_config(args: argparse.Namespace):
     """The runner (and, when supervised, fabric) configs of a table run.
 
@@ -183,63 +258,18 @@ def _runner_config(args: argparse.Namespace):
     ``--queue`` hands its units to the fabric.  Faults only an observer
     can see are refused without it, naming the flag that adds it.
     """
-    from .runner.faults import FABRIC_FAULT_KINDS, NETWORK_FAULT_KINDS
-
     supervised = (
         args.workers is not None or args.timeout is not None or args.queue is not None
     )
     faults = None
     if args.inject:
-        try:
-            specs = tuple(parse_fault_spec(spec) for spec in args.inject)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        specs = _fault_specs(args.inject)
+        _refuse_unobservable(specs, args, supervised)
         faults = FaultPlan(specs=specs, seed=args.seed)
-        if any(s.kind == "corrupt-artifact" for s in specs) and not args.store:
-            raise UsageError(
-                "corrupt-artifact faults need an artifact store; add --store DIR"
-            )
-        if any(s.stage == "layout" for s in specs) and not (args.oracle or args.prove):
-            raise UsageError(
-                "layout faults are only observable by the oracle or the "
-                "prover; add --oracle or --prove"
-            )
-        if any(s.kind == "break-cfg" for s in specs) and not args.lint:
-            raise UsageError(
-                "break-cfg faults are only observable by the linter; add --lint"
-            )
-        if any(s.kind == "corrupt-trace" for s in specs) and not args.trace_cache:
-            raise UsageError(
-                "corrupt-trace faults corrupt the on-disk trace cache; "
-                "add --trace-cache DIR"
-            )
-        kinds = {s.kind for s in specs}
-        network = sorted(kinds & set(NETWORK_FAULT_KINDS))
-        if network:
-            raise UsageError(
-                f"network fault(s) {', '.join(network)} attack the socket "
-                f"tier, which only `repro sweep --listen` serves"
-            )
-        killers = sorted(k for k in kinds if k == "hard-crash" or k in FABRIC_FAULT_KINDS)
-        if killers and not supervised:
-            raise UsageError(
-                f"{', '.join(killers)} faults only fire under the fabric; "
-                f"add --workers N (or --queue DIR / --timeout SECONDS)"
-            )
-        if "corrupt-queue" in kinds and args.queue is None:
-            raise UsageError(
-                "corrupt-queue faults garble a durable queue record; add --queue DIR"
-            )
-        if "hang" in kinds and args.timeout is None:
-            raise UsageError(
-                "hang faults sleep for an hour unless a wall-clock budget "
-                "kills them; add --timeout SECONDS"
-            )
     runner = RunnerConfig(
         oracle=args.oracle,
         prove=args.prove,
         lint=args.lint,
-        meld=args.meld,
         store=args.store,
         replay_check=args.replay_check,
         trace_cache=args.trace_cache,
@@ -378,7 +408,7 @@ def _suite_table(args: argparse.Namespace, archs: Sequence[str], render) -> int:
     config, fabric = _runner_config(args)
     result = run_suite_resilient(
         names, scale=args.scale, seed=args.seed, window=args.window,
-        archs=archs, config=config, fabric=fabric,
+        archs=archs, config=config, fabric=fabric, meld=args.meld,
     )
     if args.csv:
         text = records_to_csv(experiment_records(result.results)).rstrip()
@@ -402,7 +432,7 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     config, fabric = _runner_config(args)
     result = run_figure4_resilient(
         selected, scale=args.scale, seed=args.seed, window=args.window,
-        config=config, fabric=fabric,
+        config=config, fabric=fabric, meld=args.meld,
     )
     if args.csv:
         text = records_to_csv(figure4_records(result.results)).rstrip()
@@ -540,11 +570,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     injector = None
     if args.inject:
-        try:
-            specs = tuple(parse_fault_spec(spec) for spec in args.inject)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        injector = FaultInjector(FaultPlan(specs=specs, seed=args.seed))
+        injector = FaultInjector(FaultPlan(specs=_fault_specs(args.inject), seed=args.seed))
         program = injector.break_cfg(args.benchmark, 1, program, profile)
 
     layouts, notes = _lint_layouts(
@@ -781,11 +807,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
     layouts = alignment_layouts(program, profile, window=args.window)
     if args.inject:
-        try:
-            specs = tuple(parse_fault_spec(spec) for spec in args.inject)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        injector = FaultInjector(FaultPlan(specs=specs, seed=args.seed))
+        injector = FaultInjector(FaultPlan(specs=_fault_specs(args.inject), seed=args.seed))
         layouts = {
             label: injector.mutate_layout(args.benchmark, 1, label, layout, profile)
             for label, layout in layouts.items()
@@ -1180,7 +1202,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
 def cmd_breakdown(args: argparse.Namespace) -> int:
     program = _workload(args)
-    archs = tuple(a.strip() for a in args.archs.split(",")) if args.archs else ALL_ARCHS
+    archs = _arch_list(args.archs)
     rows = penalty_breakdown(program, archs=archs, seed=args.seed)
     _write(render_breakdown(rows), args.output)
     return 0
@@ -1213,32 +1235,16 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _fabric_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     """Parse ``repro sweep --inject``: bare fabric kinds or full specs."""
-    from .runner import FaultSpec
-
-    specs = []
-    for chunk in args.inject:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                if ":" in item:
-                    specs.append(parse_fault_spec(item))
-                else:
-                    specs.append(
-                        FaultSpec(benchmark="*", stage="fabric", kind=item)
-                    )
-            except ValueError as exc:
-                raise UsageError(str(exc))
+    items = [item.strip() for chunk in args.inject for item in chunk.split(",")]
+    specs = _fault_specs([i if ":" in i else f"*:fabric:{i}" for i in items if i])
     if not specs:
         return None
-    return FaultPlan(specs=tuple(specs), seed=args.seeds_list[0])
+    return FaultPlan(specs=specs, seed=args.seeds_list[0])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a benchmark sweep through the fault-tolerant fabric."""
     from .fabric import run_fabric, write_report
-    from .runner.faults import NETWORK_FAULT_KINDS
     from .runner.runner import UnitTask
 
     names = _benchmark_list(args.benchmarks) or list(SUITE)
@@ -1249,13 +1255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         raise UsageError("--seeds needs at least one seed")
     args.seeds_list = seeds
-    if args.archs:
-        archs = tuple(a.strip() for a in args.archs.split(",") if a.strip())
-        unknown = [a for a in archs if a not in ALL_ARCHS]
-        if unknown:
-            raise UsageError(f"unknown architectures: {', '.join(unknown)}")
-    else:
-        archs = ALL_ARCHS
+    archs = _arch_list(args.archs)
     if args.remote_workers < 0:
         raise UsageError("--remote-workers must be >= 0")
     if args.remote_workers and not args.listen:
@@ -1266,15 +1266,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args.report = str(_Path(args.queue) / "report.json")
 
     faults = _fabric_fault_plan(args)
-    if faults is not None and not args.listen:
-        network = sorted(
-            {s.kind for s in faults.specs if s.kind in NETWORK_FAULT_KINDS}
-        )
-        if network:
-            raise UsageError(
-                f"network fault(s) {', '.join(network)} attack the socket "
-                f"tier; add --listen [HOST:]PORT"
-            )
+    if faults is not None:
+        _refuse_unobservable(faults.specs, args, supervised=True)
 
     algorithms = _algorithm_list(args.algorithms)
     tasks = [
@@ -1452,13 +1445,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
 
     names = _benchmark_list(args.benchmarks)
     algorithms = _algorithm_list(args.algorithms)
-    if args.archs:
-        archs = tuple(a.strip() for a in args.archs.split(",") if a.strip())
-        unknown = [a for a in archs if a not in ALL_ARCHS]
-        if unknown:
-            raise UsageError(f"unknown architectures: {', '.join(unknown)}")
-    else:
-        archs = ALL_ARCHS
+    archs = _arch_list(args.archs)
     if args.profile_source == "static":
         # The static arena is a *study*: the same benchmarks run twice,
         # aligned on the measured profile and on the profile-free
@@ -1847,7 +1834,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit-identical)")
         g.add_argument("--trace-cache", metavar="DIR",
                        help="cache captured decision traces on disk, keyed "
-                            "by (workload, scale, seed) fingerprint; "
+                            "by the captured program's structure plus "
+                            "(workload, scale, seed); "
                             "corrupt or stale entries are quarantined and "
                             "re-captured transparently")
 

@@ -45,11 +45,12 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union, cast
 
-from ..runner.faults import FaultPlan, FaultSpec
+from ..runner.codec import from_plain, to_plain
+from ..runner.faults import FaultPlan
 from ..runner.retry import RetryPolicy, retry_rng
 from ..runner.runner import UnitTask, execute_unit
 from ..runner.store import ArtifactStore
@@ -83,28 +84,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 def task_to_wire(task: UnitTask) -> Dict[str, Any]:
     """Serialise a :class:`UnitTask` for the JSON frame protocol."""
-    data: Dict[str, Any] = asdict(task)
-    if task.trace_cache is not None:
-        data["trace_cache"] = str(task.trace_cache)
-    return data
+    return cast(Dict[str, Any], to_plain(task))
 
 
 def task_from_wire(data: Dict[str, Any]) -> UnitTask:
     """Rebuild a :class:`UnitTask` from its wire form."""
-    fields = dict(data)
-    fields["archs"] = tuple(fields.get("archs", ()))
-    faults = fields.get("faults")
-    if faults is not None:
-        fields["faults"] = FaultPlan(
-            specs=tuple(FaultSpec(**spec) for spec in faults.get("specs", ())),
-            seed=int(faults.get("seed", 0)),
-        )
-    alpha = fields.get("alpha_config")
-    if alpha is not None:
-        from ..sim.alpha import AlphaConfig
-
-        fields["alpha_config"] = AlphaConfig(**alpha)
-    return UnitTask(**fields)
+    return cast(UnitTask, from_plain(UnitTask, data))
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +270,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         self.lease_duration = lease_duration
         self.gate = LeaseGate(self.queue)
         self.sessions = self.gate.sessions
+        self.faults = faults
         chaos = NetworkChaos.from_plan(faults)
         self.chaos: Optional[NetworkChaos] = chaos if chaos else None
         self.on_complete = on_complete
@@ -435,7 +421,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
                         now,
                     )
                     return reply({"type": "idle", "retry_after": 0.1})
-                task = replace(task, attempt=record.attempts)
+                task = replace(task, attempt=record.attempts, fault_plan=self.faults)
                 return reply(
                     {
                         "type": "grant",

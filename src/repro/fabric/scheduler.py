@@ -35,14 +35,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from ..atomicio import atomic_write_text
+from ..runner.codec import to_plain
 from ..runner.errors import FatalError
 from ..runner.retry import RetryPolicy, retry_rng
-from ..runner.runner import UnitTask
+from ..runner.runner import RESULT, UnitTask, task_fields
 from ..runner.store import ArtifactCorruptError, ArtifactStore
 
 #: Queue states, in lifecycle order.
@@ -80,28 +81,15 @@ def config_fingerprint(config: Dict[str, object]) -> str:
 
 
 def unit_fingerprint(task: UnitTask) -> str:
-    """A stable digest of exactly the knobs that determine a unit's result.
+    """A stable digest of exactly the fields that determine a unit's result.
 
-    Pipeline checks (oracle, prover, lint, validation, replay check) and
-    the trace cache only decide whether a unit passes, never its numbers,
-    so they stay out: a queue may be resumed with them toggled.
+    Those are the :class:`UnitTask` fields marked ``RESULT``.  Pipeline
+    checks only decide whether a unit passes, never its numbers, so
+    they stay out: a queue may be resumed with them toggled.
     """
-    summary: Dict[str, object] = {
-        "kind": task.kind,
-        "benchmark": task.benchmark,
-        "scale": task.scale,
-        "seed": task.seed,
-        "window": task.window,
-        "archs": list(task.archs),
-        "min_weight": task.min_weight,
-        "algorithms": list(task.algorithms) if task.algorithms is not None else None,
-        "profile_source": task.profile_source,
-        "meld": task.meld,
-        "alpha_config": (
-            asdict(task.alpha_config) if task.alpha_config is not None else None
-        ),
-    }
-    return config_fingerprint(summary)
+    return config_fingerprint({
+        f.name: to_plain(getattr(task, f.name)) for f in task_fields(RESULT)
+    })
 
 
 def unit_id_for(task: UnitTask) -> str:
@@ -118,15 +106,6 @@ class LeaseInfo:
     leased_at: float
     expires: float
     duration: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "worker": self.worker,
-            "token": self.token,
-            "leased_at": self.leased_at,
-            "expires": self.expires,
-            "duration": self.duration,
-        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LeaseInfo":
@@ -169,22 +148,8 @@ class UnitRecord:
     task: Optional[UnitTask] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "unit_id": self.unit_id,
-            "benchmark": self.benchmark,
-            "kind": self.kind,
-            "state": self.state,
-            "attempts": self.attempts,
-            "next_token": self.next_token,
-            "lease": self.lease.to_dict() if self.lease is not None else None,
-            "not_before": self.not_before,
-            "backoff_total": self.backoff_total,
-            "lease_history": self.lease_history,
-            "crash_workers": self.crash_workers,
-            "tracebacks": self.tracebacks,
-            "failure": self.failure,
-            "meta": self.meta,
-        }
+        """The durable JSON form of the record (the task stays in memory)."""
+        return cast(Dict[str, object], to_plain(self))
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "UnitRecord":
@@ -665,19 +630,21 @@ def repair_queue_dir(root: Union[str, Path]) -> Dict[str, List[str]]:
             json.dumps(record.to_dict(), indent=2, sort_keys=True),
         )
         revoked.append(record.unit_id)
-    quarantined: List[str] = []
-    if corrupt:
-        quarantine = root / QUARANTINE_DIR
+    _quarantine_records(root, corrupt)
+    return {"revoked": revoked, "quarantined": [path.name for path in corrupt]}
+
+
+def _quarantine_records(root: Path, corrupt: Sequence[Path]) -> None:
+    """Move undecodable unit records aside, never overwriting one."""
+    quarantine = root / QUARANTINE_DIR
+    for path in corrupt:
         quarantine.mkdir(parents=True, exist_ok=True)
-        for path in corrupt:
-            dest = quarantine / path.name
-            counter = 0
-            while dest.exists():
-                counter += 1
-                dest = quarantine / f"{path.stem}.{counter}{path.suffix}"
-            path.replace(dest)
-            quarantined.append(path.name)
-    return {"revoked": revoked, "quarantined": quarantined}
+        dest = quarantine / path.name
+        counter = 0
+        while dest.exists():
+            counter += 1
+            dest = quarantine / f"{path.stem}.{counter}{path.suffix}"
+        path.replace(dest)
 
 
 class Scheduler:
@@ -753,17 +720,8 @@ class Scheduler:
                 f"(fingerprint {header.get('fingerprint')!r}, this sweep "
                 f"{self.fingerprint!r}); refusing to resume"
             )
-        if corrupt:
-            quarantine = self.root / QUARANTINE_DIR
-            quarantine.mkdir(parents=True, exist_ok=True)
-            for path in corrupt:
-                dest = quarantine / path.name
-                counter = 0
-                while dest.exists():
-                    counter += 1
-                    dest = quarantine / f"{path.stem}.{counter}{path.suffix}"
-                path.replace(dest)
-                self.recovered.append(path.stem)
+        _quarantine_records(self.root, corrupt)
+        self.recovered.extend(path.stem for path in corrupt)
 
         merged: List[UnitRecord] = []
         for record in fresh:

@@ -59,7 +59,8 @@ __all__ = [
 
 #: Version of the wire protocol; a coordinator rejects workers speaking
 #: a different one during the handshake (see ``repro doctor --remote``).
-PROTOCOL_VERSION = 1
+#: Version 2 nests a task's pipeline checks under ``"checks"``.
+PROTOCOL_VERSION = 2
 
 MAGIC = b"RFAB"
 _HEADER = struct.Struct(">4sII")

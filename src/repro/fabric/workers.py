@@ -144,8 +144,15 @@ def _worker_main(
     worker_id: str,
     heartbeat_interval: float,
     faults: Optional[FaultPlan],
+    inherited: Sequence[Any] = (),
 ) -> None:
     """One supervised worker: receive leases, heartbeat, execute units.
+
+    ``inherited`` are the supervisor-side pipe ends a forked worker
+    holds copies of — its own and every earlier worker's.  They are
+    closed first, so a supervisor that dies (even by SIGKILL) leaves
+    this worker's ``conn`` at EOF and the worker exits instead of
+    waiting forever.
 
     Messages to the supervisor: ``("heartbeat", unit, token)``,
     ``("ok", unit, token, payload)``, ``("err", unit, token, failure,
@@ -153,6 +160,8 @@ def _worker_main(
     one flushed right before an injected poison death so the supervisor
     has the traceback evidence the quarantine report records.
     """
+    for end in inherited:
+        end.close()
     try:  # the supervisor drives shutdown; workers ignore ^C themselves
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # A forked worker inherits the supervisor's SIGTERM drain
@@ -296,7 +305,8 @@ class FabricSupervisor:
         process = mp.Process(
             target=_worker_main,
             args=(child_conn, worker_id, self.config.heartbeat_interval,
-                  self.config.faults),
+                  self.config.faults,
+                  (parent_conn, *(handle.conn for handle in self.handles))),
             name=f"fabric-{worker_id}",
             daemon=True,
         )
@@ -490,7 +500,7 @@ class FabricSupervisor:
                     False, now,
                 )
                 continue
-            task = replace(task, attempt=record.attempts, faults=self.config.faults)
+            task = replace(task, attempt=record.attempts, fault_plan=self.config.faults)
             handle.unit = record.unit_id
             handle.token = token
             handle.benchmark = record.benchmark

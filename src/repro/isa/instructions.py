@@ -31,10 +31,6 @@ class Opcode(enum.Enum):
     INDIRECT_CALL = "icall"
     RETURN = "ret"
 
-    @property
-    def is_control(self) -> bool:
-        return self is not Opcode.OP
-
 
 @dataclass(frozen=True)
 class Instruction:

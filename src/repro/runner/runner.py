@@ -36,21 +36,18 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.experiment import (
-    ArchOutcome,
-    BenchmarkExperiment,
-    run_benchmark_experiment,
-)
+from ..analysis.experiment import BenchmarkExperiment, run_benchmark_experiment
 from ..analysis.figure4 import Figure4Row, run_figure4_program
 from ..profiling import profile_program
 from ..sim.alpha import AlphaConfig
-from ..sim.decisions import load_or_capture, trace_fingerprint, trace_key
+from ..sim.decisions import load_or_capture
 from ..sim.metrics import ALL_ARCHS
 from ..workloads import SUITE, FIGURE4_PROGRAMS, generate_benchmark
+from .codec import from_plain, to_plain
 from .errors import (
     FatalError,
     TransientError,
@@ -72,8 +69,51 @@ if TYPE_CHECKING:  # the fabric imports this module; no runtime cycle
 # Configuration and result types
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RunnerConfig:
-    """What each unit's pipeline checks, and how the inline loop retries.
+class PipelineChecks:
+    """What each unit's pipeline checks: whether it passes, never its numbers.
+
+    A :class:`UnitTask` carries these, and :class:`RunnerConfig` extends
+    them, so each check is declared once.  None of them enters a unit's
+    identity: a queue may be resumed with them toggled.
+    """
+
+    #: Run invariant validation at stage boundaries.
+    validate: bool = True
+    #: Differentially verify every aligned layout (see ``repro.oracle``).
+    oracle: bool = False
+    #: Statically prove every aligned layout bisimilar to the original
+    #: binary (see ``repro.staticcheck.binary``); no execution involved.
+    prove: bool = False
+    #: Run the static verifier passes (``repro.staticcheck``) over each
+    #: unit's CFG and profile before alignment; findings of error
+    #: severity fail the unit's ``lint`` stage as ValidationErrors.
+    lint: bool = False
+    #: Differentially check every replay against a fresh execution
+    #: (slow).  Left False, ``REPRO_REPLAY_CHECK=1`` in the environment
+    #: of the process running a unit turns the check on all the same.
+    replay_check: bool = False
+    #: Directory of the decision-trace cache (None captures in memory,
+    #: once per unit, with no cross-run reuse).
+    trace_cache: Optional[Union[str, Path]] = None
+
+    def over(self, base: "PipelineChecks") -> "PipelineChecks":
+        """These checks laid over a unit's own ``base`` checks.
+
+        Each check set away from its default here wins; one left at its
+        default leaves ``base``'s value standing, so a run-wide config
+        can turn a check on (or validation off) without erasing what a
+        unit asked for itself.
+        """
+        return replace(base, **{
+            f.name: getattr(self, f.name)
+            for f in fields(PipelineChecks)
+            if getattr(self, f.name) != f.default
+        })
+
+
+@dataclass(frozen=True)
+class RunnerConfig(PipelineChecks):
+    """The pipeline checks of a run, plus how the inline loop retries.
 
     The default runs units inline with validation on — the cheapest
     mode, used by the library-level drivers.  Isolation, timeouts and
@@ -85,34 +125,12 @@ class RunnerConfig:
     """
 
     retry: RetryPolicy = RetryPolicy()
-    #: Run invariant validation at stage boundaries.
-    validate: bool = True
     #: Deterministic fault-injection plan (tests/demos only).
     faults: Optional[FaultPlan] = None
     #: Re-raise the first failure instead of recording it (legacy mode).
     fail_fast: bool = False
-    #: Differentially verify every aligned layout (see ``repro.oracle``).
-    oracle: bool = False
-    #: Statically prove every aligned layout bisimilar to the original
-    #: binary (see ``repro.staticcheck.binary``); no execution involved.
-    prove: bool = False
-    #: Run the static verifier passes (``repro.staticcheck``) over each
-    #: unit's CFG and profile before alignment; findings of error
-    #: severity fail the unit's ``lint`` stage as ValidationErrors.
-    lint: bool = False
-    #: Apply every analyzer-approved branch meld right after workload
-    #: generation (``repro.transforms.meld``); with ``lint`` the
-    #: RL018–RL021 audit passes verify the transcript.
-    meld: bool = False
     #: Directory of the crash-safe artifact store (None disables it).
     store: Optional[Union[str, Path]] = None
-    #: Differentially check every replay against a fresh execution
-    #: (slow).  Left False, ``REPRO_REPLAY_CHECK=1`` in the environment
-    #: of the process running a unit turns the check on all the same.
-    replay_check: bool = False
-    #: Directory of the decision-trace cache (None captures in memory,
-    #: once per unit, with no cross-run reuse).
-    trace_cache: Optional[Union[str, Path]] = None
 
 
 @dataclass
@@ -155,31 +173,54 @@ class SuiteRunResult:
 # ----------------------------------------------------------------------
 # The unit of work (picklable — it crosses the process boundary)
 # ----------------------------------------------------------------------
+#: The roles a :class:`UnitTask` field can play, kept in its metadata.
+RESULT = "result"  #: changes the unit's numbers, so it is the unit's identity
+PIPELINE = "pipeline"  #: decides whether the unit passes, never its numbers
+ATTEMPT = "attempt"  #: stamped on each attempt by the substrate running it
+ROLES = (RESULT, PIPELINE, ATTEMPT)
+
+
+def _mark(role: str, default: object = MISSING) -> Any:
+    """A dataclass field marked with its ``role`` (one of :data:`ROLES`)."""
+    return field(default=default, metadata={"role": role})
+
+
+def task_fields(role: str) -> Tuple[Field, ...]:
+    """The :class:`UnitTask` fields marked ``role``, in declaration order."""
+    return tuple(f for f in fields(UnitTask) if f.metadata.get("role") == role)
+
+
 @dataclass(frozen=True)
 class UnitTask:
-    """One benchmark's profile+align+simulate unit."""
+    """One benchmark's profile+align+simulate unit: the one run spec.
 
-    kind: str  # "experiment" | "figure4"
-    benchmark: str
-    scale: float = 1.0
-    seed: int = 0
-    window: int = 15
-    archs: Tuple[str, ...] = ALL_ARCHS
-    min_weight: int = 2
-    validate: bool = True
-    attempt: int = 1
-    faults: Optional[FaultPlan] = None
-    alpha_config: Optional[AlphaConfig] = None
-    oracle: bool = False
-    prove: bool = False
-    lint: bool = False
-    meld: bool = False
-    replay_check: bool = False
-    trace_cache: Optional[Union[str, Path]] = None
+    Every field is marked with its role.  The :data:`RESULT` fields are
+    the unit's identity (the fabric fingerprints exactly those), the
+    :data:`PIPELINE` checks only decide whether it passes, and the
+    :data:`ATTEMPT` fields are set afresh for every attempt.
+    """
+
+    kind: str = _mark(RESULT)  # "experiment" | "figure4"
+    benchmark: str = _mark(RESULT)
+    scale: float = _mark(RESULT, 1.0)
+    seed: int = _mark(RESULT, 0)
+    window: int = _mark(RESULT, 15)
+    archs: Tuple[str, ...] = _mark(RESULT, ALL_ARCHS)
+    min_weight: int = _mark(RESULT, 2)
+    #: The Alpha 21064 timing model of a figure4 unit (None = defaults).
+    alpha_config: Optional[AlphaConfig] = _mark(RESULT, None)
     #: Registered aligner names to compete (None = the whole registry).
-    algorithms: Optional[Tuple[str, ...]] = None
+    algorithms: Optional[Tuple[str, ...]] = _mark(RESULT, None)
     #: What the aligners see: the measured profile or a static prediction.
-    profile_source: str = "measured"
+    profile_source: str = _mark(RESULT, "measured")
+    #: Apply every analyzer-approved branch meld right after workload
+    #: generation (``repro.transforms.meld``); with ``lint`` the
+    #: RL018–RL021 audit passes verify the transcript.
+    meld: bool = _mark(RESULT, False)
+    checks: PipelineChecks = _mark(PIPELINE, PipelineChecks())
+    attempt: int = _mark(ATTEMPT, 1)
+    #: The run's fault plan, as the substrate running the attempt holds it.
+    fault_plan: Optional[FaultPlan] = _mark(ATTEMPT, None)
 
 
 @contextmanager
@@ -202,8 +243,8 @@ def execute_unit(task: UnitTask) -> dict:
     between stages.  Experiment units capture (or load) the workload's
     decision trace once and replay it through every aligned layout.
     """
-    injector = FaultInjector(task.faults)
-    name, attempt = task.benchmark, task.attempt
+    injector = FaultInjector(task.fault_plan)
+    name, attempt, checks = task.benchmark, task.attempt, task.checks
 
     with _stage("generate"):
         injector.fire("generate", name, attempt)
@@ -224,26 +265,22 @@ def execute_unit(task: UnitTask) -> dict:
     if task.kind == "experiment":
         with _stage("trace"):
             trace_store = (
-                ArtifactStore(task.trace_cache)
-                if task.trace_cache is not None
+                ArtifactStore(checks.trace_cache)
+                if checks.trace_cache is not None
                 else None
             )
             trace, _hit = load_or_capture(
                 trace_store, program, workload=name, scale=task.scale, seed=task.seed
             )
-            if trace_store is not None:
-                key = trace_key(name, trace_fingerprint(name, task.scale, task.seed))
-                if injector.corrupt_trace(name, attempt, trace_store.path_for(key)):
-                    # A corrupt cache entry may cost a re-capture, never
-                    # correctness: the reload must quarantine the damaged
-                    # bytes and transparently capture a fresh trace.
-                    trace, _hit = load_or_capture(
-                        trace_store,
-                        program,
-                        workload=name,
-                        scale=task.scale,
-                        seed=task.seed,
-                    )
+            if trace_store is not None and injector.corrupt_trace(
+                name, attempt, trace_store.path_for(trace.key)
+            ):
+                # A corrupt cache entry may cost a re-capture, never
+                # correctness: the reload must quarantine the damaged
+                # bytes and transparently capture a fresh trace.
+                trace, _hit = load_or_capture(
+                    trace_store, program, workload=name, scale=task.scale, seed=task.seed
+                )
             injector.fire("trace", name, attempt)
 
     with _stage("profile"):
@@ -253,13 +290,13 @@ def execute_unit(task: UnitTask) -> dict:
             profile = profile_program(program, seed=task.seed)
         profile = injector.corrupt_profile(name, attempt, profile)
         injector.fire("profile", name, attempt)
-        if task.validate:
+        if checks.validate:
             validate_profile(program, profile)
 
     with _stage("lint"):
         program = injector.break_cfg(name, attempt, program, profile)
         injector.fire("lint", name, attempt)
-        if task.lint:
+        if checks.lint:
             from ..staticcheck import MeldContext, run_lint
 
             meld = None
@@ -288,15 +325,15 @@ def execute_unit(task: UnitTask) -> dict:
                 window=task.window,
                 min_weight=task.min_weight,
                 archs=task.archs,
-                validate=task.validate,
+                validate=checks.validate,
                 trace=trace,
                 # False defers to REPRO_REPLAY_CHECK, as a direct call does.
-                replay_check=task.replay_check or None,
+                replay_check=checks.replay_check or None,
                 algorithms=task.algorithms,
                 profile_source=task.profile_source,
             )
             injector.fire("simulate", name, attempt)
-            payload = {"unit": "experiment", "data": experiment_to_dict(experiment)}
+            payload = result_to_payload("experiment", experiment)
             judged = experiment.layouts
         elif task.kind == "figure4":
             row = run_figure4_program(
@@ -307,18 +344,18 @@ def execute_unit(task: UnitTask) -> dict:
                 config=task.alpha_config or AlphaConfig(),
                 program=program,
                 profile=profile,
-                validate=task.validate,
+                validate=checks.validate,
             )
             injector.fire("simulate", name, attempt)
-            payload = {"unit": "figure4", "data": figure4_row_to_dict(row)}
+            payload = result_to_payload("figure4", row)
         else:
             raise FatalError(f"unknown unit kind {task.kind!r}")
 
-    if task.oracle or task.prove:
+    if checks.oracle or checks.prove:
         # Fault-mutate the layouts once, so the dynamic oracle and the
         # static prover judge the *same* binaries — for experiments, the
         # very layouts the experiment simulated.
-        with _stage("oracle" if task.oracle else "prove"):
+        with _stage("oracle" if checks.oracle else "prove"):
             injector.fire("layout", name, attempt)
             if judged is None:
                 judged = _figure4_layouts(task, program, profile)
@@ -326,10 +363,10 @@ def execute_unit(task: UnitTask) -> dict:
                 label: injector.mutate_layout(name, attempt, label, layout, profile)
                 for label, layout in judged.items()
             }
-        if task.oracle:
+        if checks.oracle:
             with _stage("oracle"):
                 _run_oracle(task, program, profile, layouts, decisions=trace)
-        if task.prove:
+        if checks.prove:
             with _stage("prove"):
                 _run_prove(task, program, layouts)
     return payload
@@ -401,82 +438,24 @@ def _run_prove(task: UnitTask, program, layouts) -> None:
 # ----------------------------------------------------------------------
 # Payload (de)serialisation — fabric results and store artifacts
 # ----------------------------------------------------------------------
-def experiment_to_dict(experiment: BenchmarkExperiment) -> dict:
-    return {
-        "name": experiment.name,
-        "category": experiment.category,
-        "original_instructions": experiment.original_instructions,
-        "outcomes": {
-            aligner: {
-                arch: {
-                    "relative_cpi": cell.relative_cpi,
-                    "percent_fallthrough": cell.percent_fallthrough,
-                    "bep": cell.bep,
-                    "instructions": cell.instructions,
-                    "cond_accuracy": cell.cond_accuracy,
-                }
-                for arch, cell in cells.items()
-            }
-            for aligner, cells in experiment.outcomes.items()
-        },
-        "skips": {
-            aligner: dict(reasons)
-            for aligner, reasons in experiment.skips.items()
-        },
-    }
+#: The result type each payload ``"unit"`` tag carries.
+RESULT_TYPES = {"experiment": BenchmarkExperiment, "figure4": Figure4Row}
 
 
-def experiment_from_dict(data: dict) -> BenchmarkExperiment:
-    try:
-        return BenchmarkExperiment(
-            name=data["name"],
-            category=data["category"],
-            original_instructions=data["original_instructions"],
-            outcomes={
-                aligner: {
-                    arch: ArchOutcome(**cell) for arch, cell in cells.items()
-                }
-                for aligner, cells in data["outcomes"].items()
-            },
-            # Absent in pre-registry payloads; tolerate those.
-            skips={
-                aligner: dict(reasons)
-                for aligner, reasons in data.get("skips", {}).items()
-            },
-        )
-    except (KeyError, TypeError) as exc:
-        raise FatalError(f"malformed experiment payload: {exc}") from exc
-
-
-def figure4_row_to_dict(row: Figure4Row) -> dict:
-    return {
-        "name": row.name,
-        "original_cycles": row.original_cycles,
-        "greedy_cycles": row.greedy_cycles,
-        "try15_cycles": row.try15_cycles,
-    }
-
-
-def figure4_row_from_dict(data: dict) -> Figure4Row:
-    try:
-        return Figure4Row(
-            name=data["name"],
-            original_cycles=data["original_cycles"],
-            greedy_cycles=data["greedy_cycles"],
-            try15_cycles=data["try15_cycles"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise FatalError(f"malformed figure4 payload: {exc}") from exc
+def result_to_payload(unit: str, result: object) -> dict:
+    """The serialised payload of one unit's result object."""
+    return {"unit": unit, "data": to_plain(result)}
 
 
 def payload_to_result(payload: dict) -> object:
     """Rebuild the unit result object a payload dict describes."""
     unit = payload.get("unit") if isinstance(payload, dict) else None
-    if unit == "experiment":
-        return experiment_from_dict(payload.get("data", {}))
-    if unit == "figure4":
-        return figure4_row_from_dict(payload.get("data", {}))
-    raise FatalError(f"unrecognised unit payload kind {unit!r}")
+    if unit not in RESULT_TYPES:
+        raise FatalError(f"unrecognised unit payload kind {unit!r}")
+    try:
+        return from_plain(RESULT_TYPES[unit], payload.get("data", {}))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FatalError(f"malformed {unit} payload: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +485,9 @@ def _run_inline(
         slept = 0.0
         while True:
             try:
-                payload = execute_unit(replace(task, attempt=attempt))
+                payload = execute_unit(
+                    replace(task, attempt=attempt, fault_plan=config.faults)
+                )
             except Exception as exc:
                 if config.fail_fast:
                     raise
@@ -606,22 +587,7 @@ def run_units(
     def on_failure(failure: BenchmarkFailure) -> None:
         failures[failure.benchmark] = failure
 
-    pending = [
-        replace(
-            task,
-            validate=config.validate,
-            faults=faults,
-            oracle=config.oracle or task.oracle,
-            prove=config.prove or task.prove,
-            lint=config.lint or task.lint,
-            meld=config.meld or task.meld,
-            replay_check=config.replay_check or task.replay_check,
-            trace_cache=(
-                config.trace_cache if config.trace_cache is not None else task.trace_cache
-            ),
-        )
-        for task in tasks
-    ]
+    pending = [replace(task, checks=config.over(task.checks)) for task in tasks]
     queue = None
     if fabric is None:
         _run_inline(pending, config, on_success, on_failure)
@@ -661,6 +627,7 @@ def run_suite_resilient(
     algorithms: Optional[Sequence[str]] = None,
     profile_source: str = "measured",
     fabric: Optional["FabricConfig"] = None,
+    meld: bool = False,
 ) -> SuiteRunResult:
     """The Tables 3/4 suite experiment under the resilient runner."""
     selected = list(names) if names is not None else list(SUITE)
@@ -675,6 +642,7 @@ def run_suite_resilient(
             min_weight=min_weight,
             algorithms=tuple(algorithms) if algorithms is not None else None,
             profile_source=profile_source,
+            meld=meld,
         )
         for name in selected
     ]
@@ -689,6 +657,7 @@ def run_figure4_resilient(
     alpha_config: Optional[AlphaConfig] = None,
     config: Optional[RunnerConfig] = None,
     fabric: Optional["FabricConfig"] = None,
+    meld: bool = False,
 ) -> SuiteRunResult:
     """The Figure 4 timing experiment under the resilient runner."""
     selected = list(names) if names is not None else list(FIGURE4_PROGRAMS)
@@ -700,6 +669,7 @@ def run_figure4_resilient(
             seed=seed,
             window=window,
             alpha_config=alpha_config,
+            meld=meld,
         )
         for name in selected
     ]

@@ -16,12 +16,12 @@ iterations of a two-block loop are two templates and a million 8-byte
 ids, streamed in bounded-memory chunks.
 
 Traces persist through the crash-safe artifact store
-(:mod:`repro.runner.store`) under a config fingerprint covering the
-workload identity *and* the trace/ISA schema versions, with an internal
-SHA-256 digest on top of the store's own manifest checksum.  Any cache
-miss, staleness or corruption is handled by quarantining the entry and
-transparently re-capturing — a trace cache can never make a run wrong,
-only faster.
+(:mod:`repro.runner.store`) under a fingerprint covering the structure
+of the captured program, the workload identity *and* the trace/ISA
+schema versions, with an internal SHA-256 digest on top of the store's
+own manifest checksum.  Any cache miss, staleness or corruption is
+handled by quarantining the entry and transparently re-capturing — a
+trace cache can never make a run wrong, only faster.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Protocol, Sequence, Tuple, TypeVar, cast
 if TYPE_CHECKING:
     from ..profiling.edge_profile import EdgeProfile
 
-from ..cfg import BlockId, Program, TerminatorKind
+from ..cfg import BlockId, Program, TerminatorKind, program_fingerprint
 from ..isa.encoder import INSTRUCTION_BYTES
 from ..isa.serialize import FORMAT_VERSION as ISA_FORMAT_VERSION
 from .executor import ExecutionError
@@ -92,17 +92,22 @@ class TraceDecodeError(ValueError):
         super().__init__(message)
 
 
-def trace_fingerprint(workload: str, scale: float, seed: int) -> str:
-    """Cache fingerprint for one ``(workload, scale, seed)`` trace.
+def trace_fingerprint(program: Program, workload: str, scale: float, seed: int) -> str:
+    """Cache fingerprint for the trace of ``program`` run with ``seed``.
 
-    Besides the workload identity, the fingerprint covers the trace
-    schema and the ISA encoding versions: bumping either invalidates
-    every cached trace without touching the store on disk (old entries
-    simply stop being addressed, and ``repro doctor --store --repair``
-    sweeps them out as stale).
+    The program's structural digest (:func:`repro.cfg.program_fingerprint`)
+    tells a transformed program — melded, say — from the workload it was
+    generated as; ``(workload, scale)`` fix the behaviours, which come
+    from ``generate_benchmark(workload, scale)`` and which no structural
+    digest sees.  The fingerprint also covers the trace schema and the
+    ISA encoding versions: bumping either invalidates every cached trace
+    without touching the store on disk (old entries simply stop being
+    addressed, and ``repro doctor --store --repair`` sweeps them out as
+    stale).
     """
     blob = json.dumps(
         {
+            "program": program_fingerprint(program),
             "workload": workload,
             "scale": scale,
             "seed": seed,
@@ -152,6 +157,8 @@ class DecisionTrace:
         self.steps = steps
         self.meta = dict(meta or {})
         self.fingerprint = fingerprint
+        #: The trace-cache key :func:`load_or_capture` looked it up under.
+        self.key: Optional[str] = None
         self._visit_counts: Optional[Dict[Tuple[str, BlockId], int]] = None
         self._ras_runs: Dict[int, ReturnStack] = {}
         self._sources: Optional[Dict[Tuple, List[int]]] = None
@@ -468,13 +475,10 @@ def capture_decisions(
         chunks.append(current)
 
     meta: Dict[str, object] = {"seed": seed}
-    fingerprint = None
     if workload is not None:
         meta["workload"] = workload
         meta["scale"] = scale
-        if scale is not None:
-            fingerprint = trace_fingerprint(workload, scale, seed)
-    return DecisionTrace(templates, counts, chunks, steps, meta, fingerprint)
+    return DecisionTrace(templates, counts, chunks, steps, meta)
 
 
 # -- persistence -------------------------------------------------------
@@ -577,13 +581,13 @@ def validate_payload(payload: object, key: Optional[str] = None) -> DecisionTrac
     """Doctor-facing validation: decode and cross-check against ``key``."""
     trace = decode_trace(payload)
     if key is not None:
-        fingerprint = trace.fingerprint
         workload = trace.meta.get("workload")
-        if fingerprint and workload is not None:
-            if key != trace_key(str(workload), str(fingerprint)):
-                raise TraceDecodeError(
-                    "stale-fingerprint", f"key {key!r} does not match payload identity"
-                )
+        if not trace.fingerprint or workload is None or key != trace_key(
+            str(workload), trace.fingerprint
+        ):
+            raise TraceDecodeError(
+                "stale-fingerprint", f"key {key!r} does not match payload identity"
+            )
     return trace
 
 
@@ -610,11 +614,14 @@ def load_or_capture(
     scale: float,
     seed: int = 0,
 ) -> Tuple[DecisionTrace, bool]:
-    """Fetch a cached trace, or capture (and cache) a fresh one.
+    """Fetch a cached trace of ``program``, or capture (and cache) one.
 
     Returns ``(trace, cache_hit)``.  ``store`` is duck-typed (the
     :class:`TraceStore` surface of :class:`repro.runner.store.
-    ArtifactStore`); pass ``None`` to always capture.
+    ArtifactStore`); pass ``None`` to always capture.  This is the one
+    place a cache key is computed: it covers the structure of
+    ``program`` itself (see :func:`trace_fingerprint`), and the returned
+    trace carries it as :attr:`DecisionTrace.key`.
 
     Every unusable cached entry — stale (``stale-schema``,
     ``stale-fingerprint``) as well as corrupt (``digest-mismatch``,
@@ -624,7 +631,7 @@ def load_or_capture(
     correctness dependency, so *every* exception on the load path is
     converted into a miss.
     """
-    fingerprint = trace_fingerprint(workload, scale, seed)
+    fingerprint = trace_fingerprint(program, workload, scale, seed)
     key = trace_key(workload, fingerprint)
     if store is not None and key in store:
         try:
@@ -641,8 +648,10 @@ def load_or_capture(
             except Exception:
                 pass
         else:
+            trace.key = key
             return trace, True
     trace = capture_decisions(program, seed=seed, workload=workload, scale=scale)
+    trace.fingerprint, trace.key = fingerprint, key
     if store is not None:
         store.put(key, encode_trace(trace))
     return trace, False

@@ -10,7 +10,7 @@ plain tuples ``(kind, site, target, taken)`` in the hot path; the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 # Event kind codes (tuple slot 0).
 COND = 0        #: conditional branch (CBr)
@@ -137,11 +137,6 @@ class TraceStats:
             "Call": 100.0 * self.kind_counts[CALL] / total,
             "Ret": 100.0 * self.kind_counts[RET] / total,
         }
-
-
-def record_events(events: Sequence[Event]) -> List[BranchEvent]:
-    """Convert raw event tuples into readable records (test helper)."""
-    return [BranchEvent.of(e) for e in events]
 
 
 class EventRecorder:

@@ -36,7 +36,8 @@ from .binary import (
     recover_layout,
     verify_image,
 )
-from .dataflow import AnalysisManager, ProgramAnalyses, cfg_fingerprint
+from ..cfg import cfg_fingerprint
+from .dataflow import AnalysisManager, ProgramAnalyses
 from .diagnostics import (
     CODES,
     REPORT_SCHEMA_VERSION,

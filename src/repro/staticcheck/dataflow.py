@@ -10,13 +10,13 @@ and duplicate order entries instead of crashing the lint run.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, TypeVar
 
 from ..cfg import (
     BlockId,
     NaturalLoop,
     Procedure,
+    cfg_fingerprint,
     immediate_dominators,
     immediate_postdominators,
     loop_depths,
@@ -28,34 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .legality import BlockEffects, ObservationChain, RegionInfo
 
 T = TypeVar("T")
-
-
-def cfg_fingerprint(proc: Procedure) -> str:
-    """A structural hash of one procedure's CFG.
-
-    Covers everything the cached analyses can observe — block ids,
-    sizes, terminator kinds, call sites (offset + callee symbol +
-    indirection), layout order, and the edge list — and nothing they
-    cannot (behaviour objects, labels).  Two procedures with equal
-    fingerprints are indistinguishable to every analysis in this module,
-    so they may safely share an :class:`AnalysisManager`.
-    """
-    digest = hashlib.sha256()
-    digest.update(proc.name.encode())
-    for bid in proc.original_order:
-        block = proc.blocks.get(bid)
-        if block is None:  # corrupted CFG: dangling order entry
-            digest.update(f"|b{bid}:?".encode())
-            continue
-        digest.update(f"|b{bid}:{block.size}:{block.kind.value}".encode())
-        for call in block.calls:
-            callee = call.callee if call.callee is not None else "*"
-            digest.update(f":c{call.offset}:{callee}".encode())
-    for edge in sorted(
-        proc.edges, key=lambda e: (e.src, e.dst, e.kind.value)
-    ):
-        digest.update(f"|e{edge.src}>{edge.dst}:{edge.kind.value}".encode())
-    return digest.hexdigest()
 
 
 class AnalysisManager:

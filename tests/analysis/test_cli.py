@@ -143,17 +143,28 @@ class TestResilienceFlags:
                      "--inject", "alvinn:simulate:hang:99"]) == 3
         assert "timeout" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, missing", [
-        ("align:hard-crash", "--workers"),
-        ("fabric:kill-worker", "--workers"),
-        ("fabric:stall-worker", "--workers"),
-        ("fabric:expire-lease", "--workers"),
-        ("fabric:corrupt-queue", "--queue"),
-        ("fabric:poison-unit", "--workers"),
-        ("simulate:hang", "--timeout"),
+    @pytest.mark.parametrize("command, kind, missing", [
+        *(pytest.param("table3", kind, missing, id=f"{kind}-{missing}")
+          for kind, missing in [
+              ("align:hard-crash", "--workers"),
+              ("fabric:kill-worker", "--workers"),
+              ("fabric:stall-worker", "--workers"),
+              ("fabric:expire-lease", "--workers"),
+              ("fabric:corrupt-queue", "--queue"),
+              ("fabric:poison-unit", "--workers"),
+              ("simulate:hang", "--timeout"),
+          ]),
+        # sweep shares the guard: it also refuses what it cannot observe
+        *(pytest.param("sweep", kind, missing, id=f"sweep-{kind}-{missing}")
+          for kind, missing in [
+              ("fabric:corrupt-queue", "--queue"),
+              ("simulate:hang", "--timeout"),
+              ("layout:flip-sense", "--oracle"),
+              ("fabric:drop-message", "--listen"),
+          ]),
     ])
-    def test_unobservable_fault_is_usage_error(self, capsys, kind, missing):
-        assert main(["table3", "--benchmarks", "alvinn", "--scale", "0.02",
+    def test_unobservable_fault_is_usage_error(self, capsys, command, kind, missing):
+        assert main([command, "--benchmarks", "alvinn", "--scale", "0.02",
                      "--inject", f"alvinn:{kind}"]) == 2
         assert missing in capsys.readouterr().err
 
@@ -190,6 +201,11 @@ class TestBreakdownCommand:
                      "--archs", "fallthrough,likely"]) == 0
         out = capsys.readouterr().out
         assert "Misfetch cyc" in out and "try15" in out
+
+    def test_unknown_arch_is_usage_error(self, capsys):
+        assert main(["breakdown", "compress", "--scale", "0.02",
+                     "--archs", "fallthrough,nope"]) == 2
+        assert "unknown architectures: nope" in capsys.readouterr().err
 
 
 class TestSensitivityCommand:

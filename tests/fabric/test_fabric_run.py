@@ -166,6 +166,33 @@ class TestReport:
 
 
 @pytest.mark.slow
+def _proc_stat(pid: int) -> list:
+    """The fields of ``/proc/PID/stat`` after the command name (Linux)."""
+    text = Path(f"/proc/{pid}/stat").read_text()
+    return text.rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> list:
+    """The pids whose parent is ``pid``."""
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                if int(_proc_stat(int(entry.name))[1]) == pid:
+                    kids.append(int(entry.name))
+            except (OSError, IndexError, ValueError):
+                continue
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and has not exited (zombies have)."""
+    try:
+        return _proc_stat(pid)[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
 class TestSigkillResume:
     """The acceptance scenario: SIGKILL mid-sweep, then ``--resume``."""
 
@@ -190,6 +217,7 @@ class TestSigkillResume:
         proc = subprocess.Popen([sys.executable, "-c", code], env=env,
                                 stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
+        workers: list = []
         try:
             # Wait until at least one unit is durably done, then SIGKILL —
             # the queue directory is frozen mid-sweep.
@@ -206,8 +234,17 @@ class TestSigkillResume:
                 time.sleep(0.02)
         finally:
             if proc.poll() is None:
+                if Path("/proc/self/stat").exists():
+                    workers = _children(proc.pid)
+                    assert workers  # the supervisor's worker is running
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
+
+        # Orphaned workers must notice the supervisor's death and exit.
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
 
         _header, frozen, corrupt = load_queue_dir(queue)
         assert corrupt == []

@@ -77,7 +77,7 @@ class TestTaskWire:
         plan = FaultPlan(
             specs=(FaultSpec("eqntott", "fabric", "drop-message"),), seed=7
         )
-        task = replace(tasks_for("eqntott")[0], faults=plan, attempt=2)
+        task = replace(tasks_for("eqntott")[0], fault_plan=plan, attempt=2)
         wired = json.loads(json.dumps(task_to_wire(task)))
         assert task_from_wire(wired) == task
 

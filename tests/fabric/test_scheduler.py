@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -24,7 +24,7 @@ from repro.fabric import (
 )
 from repro.fabric.scheduler import QUEUE_MANIFEST, UNITS_DIR, UnitRecord
 from repro.runner.retry import RetryPolicy
-from repro.runner.runner import UnitTask
+from repro.runner.runner import PIPELINE, RESULT, ROLES, PipelineChecks, UnitTask
 from repro.sim.alpha import AlphaConfig
 
 
@@ -34,6 +34,32 @@ def tasks_for(*benchmarks: str) -> list:
                  window=15, archs=("btfnt",))
         for b in benchmarks
     ]
+
+
+#: Non-default values for the task fields whose default is None.
+_SET_VALUES = {
+    "alpha_config": AlphaConfig(mispredict_cycles=8.0),
+    "algorithms": ("orig",),
+    "trace_cache": "traces",
+}
+
+
+def _perturbed(name: str, value: object) -> object:
+    """A value of the same kind as ``value`` that differs from it."""
+    if value is None:
+        return _SET_VALUES[name]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-perturbed"
+    if isinstance(value, tuple):
+        return value + ("orig",)
+    if is_dataclass(value):
+        first = fields(value)[0]
+        return replace(value, **{first.name: _perturbed(first.name, getattr(value, first.name))})
+    raise AssertionError(f"no perturbation for field {name!r} = {value!r}")
 
 
 def fresh_queue(*benchmarks: str, **kwargs) -> JobQueue:
@@ -65,8 +91,49 @@ class TestUnitIdentity:
 
     def test_pipeline_checks_stay_out_of_the_fingerprint(self):
         base = tasks_for("eqntott")[0]
-        checked = replace(base, oracle=True, prove=True, lint=True, replay_check=True)
+        checked = replace(base, checks=PipelineChecks(
+            oracle=True, prove=True, lint=True, replay_check=True))
         assert unit_id_for(base) == unit_id_for(checked)
+
+    def test_every_field_carries_a_role(self):
+        unmarked = [f.name for f in fields(UnitTask) if f.metadata.get("role") not in ROLES]
+        assert unmarked == []
+
+    def test_every_result_field_enters_the_fingerprint(self):
+        base = tasks_for("eqntott")[0]
+        result_fields = [f for f in fields(UnitTask) if f.metadata.get("role") == RESULT]
+        assert result_fields
+        for f in result_fields:
+            changed = replace(base, **{f.name: _perturbed(f.name, getattr(base, f.name))})
+            assert unit_id_for(changed) != unit_id_for(base), f.name
+
+    def test_no_pipeline_field_enters_the_fingerprint(self):
+        base = tasks_for("eqntott")[0]
+        pipeline = [f for f in fields(UnitTask) if f.metadata.get("role") == PIPELINE]
+        assert [f.name for f in pipeline] == ["checks"]
+        for check in fields(PipelineChecks):
+            value = _perturbed(check.name, getattr(base.checks, check.name))
+            changed = replace(base, checks=replace(base.checks, **{check.name: value}))
+            assert unit_id_for(changed) == unit_id_for(base), check.name
+
+    @pytest.mark.parametrize("task,unit_id", [
+        # `repro sweep --benchmarks eqntott --scale 0.05 --archs btfnt`
+        (UnitTask(kind="experiment", benchmark="eqntott", scale=0.05, seed=0,
+                  window=15, archs=("btfnt",)),
+         "experiment/eqntott/b8081ec74f61"),
+        (UnitTask(kind="figure4", benchmark="eqntott", scale=0.05, seed=0,
+                  window=15,
+                  alpha_config=AlphaConfig(issue_width=4, mispredict_cycles=7.0)),
+         "figure4/eqntott/d55cf712728c"),
+        (UnitTask(kind="experiment", benchmark="compress", scale=0.1, seed=3,
+                  window=8, archs=("btfnt", "likely"),
+                  algorithms=("orig", "greedy"), profile_source="static",
+                  meld=True),
+         "experiment/compress/5b49cca7ab58"),
+    ], ids=["sweep", "figure4-alpha", "every-result-setting"])
+    def test_unit_ids_of_existing_queues_are_stable(self, task, unit_id):
+        """Ids recorded from queues already on disk: they must still resume."""
+        assert unit_id_for(task) == unit_id
 
     def test_duplicate_tasks_collapse_to_one_unit(self):
         records = expand_units(tasks_for("eqntott", "eqntott", "compress"))

@@ -48,9 +48,9 @@ class TestCapture:
 
 
 class TestFingerprint:
-    def test_stable(self):
-        assert trace_fingerprint("eqntott", 0.1, 0) == trace_fingerprint(
-            "eqntott", 0.1, 0
+    def test_stable(self, program):
+        assert trace_fingerprint(program, "eqntott", 0.1, 0) == trace_fingerprint(
+            program, "eqntott", 0.1, 0
         )
 
     @pytest.mark.parametrize("workload,scale,seed", [
@@ -58,23 +58,32 @@ class TestFingerprint:
         ("eqntott", 0.25, 0),   # scale changes it
         ("eqntott", 0.1, 7),    # seed changes it
     ])
-    def test_sensitive_to_identity(self, workload, scale, seed):
-        assert trace_fingerprint(workload, scale, seed) != trace_fingerprint(
-            "eqntott", 0.1, 0
+    def test_sensitive_to_identity(self, program, workload, scale, seed):
+        assert trace_fingerprint(program, workload, scale, seed) != trace_fingerprint(
+            program, "eqntott", 0.1, 0
         )
 
-    def test_sensitive_to_trace_schema_version(self, monkeypatch):
-        before = trace_fingerprint("eqntott", 0.1, 0)
+    def test_sensitive_to_program_structure(self, program):
+        from repro.transforms import meld_program
+
+        melded, report = meld_program(program)
+        assert report.applied  # eqntott has approved meld sites
+        assert trace_fingerprint(melded, "eqntott", 0.1, 0) != trace_fingerprint(
+            program, "eqntott", 0.1, 0
+        )
+
+    def test_sensitive_to_trace_schema_version(self, program, monkeypatch):
+        before = trace_fingerprint(program, "eqntott", 0.1, 0)
         monkeypatch.setattr(dec, "TRACE_SCHEMA_VERSION", dec.TRACE_SCHEMA_VERSION + 1)
-        assert trace_fingerprint("eqntott", 0.1, 0) != before
+        assert trace_fingerprint(program, "eqntott", 0.1, 0) != before
 
-    def test_sensitive_to_isa_format_version(self, monkeypatch):
-        before = trace_fingerprint("eqntott", 0.1, 0)
+    def test_sensitive_to_isa_format_version(self, program, monkeypatch):
+        before = trace_fingerprint(program, "eqntott", 0.1, 0)
         monkeypatch.setattr(dec, "ISA_FORMAT_VERSION", dec.ISA_FORMAT_VERSION + 1)
-        assert trace_fingerprint("eqntott", 0.1, 0) != before
+        assert trace_fingerprint(program, "eqntott", 0.1, 0) != before
 
-    def test_key_shape(self):
-        fp = trace_fingerprint("eqntott", 0.1, 0)
+    def test_key_shape(self, program):
+        fp = trace_fingerprint(program, "eqntott", 0.1, 0)
         key = trace_key("eqntott", fp)
         assert key == f"trace/eqntott@{fp}"
         assert dec.is_trace_key(key)
@@ -130,7 +139,7 @@ class TestLoadOrCapture:
     def test_corrupt_cache_quarantined_and_recaptured(self, program, tmp_path):
         store = ArtifactStore(tmp_path)
         load_or_capture(store, program, workload="eqntott", scale=0.1)
-        key = trace_key("eqntott", trace_fingerprint("eqntott", 0.1, 0))
+        key = trace_key("eqntott", trace_fingerprint(program, "eqntott", 0.1, 0))
         path = store.path_for(key)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2] + b"\x00<bit-rot>")
@@ -167,7 +176,7 @@ class TestLoadOrCapture:
         """Each TraceDecodeError reason sets the entry aside and re-captures."""
         store = ArtifactStore(tmp_path)
         load_or_capture(store, program, workload="eqntott", scale=0.1)
-        fp = trace_fingerprint("eqntott", 0.1, 0)
+        fp = trace_fingerprint(program, "eqntott", 0.1, 0)
         key = trace_key("eqntott", fp)
         payload = store.load(key)
         tamper(payload)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fabric import FabricConfig, QueueMismatch
 from repro.fabric.scheduler import config_fingerprint
-from repro.runner import RunnerConfig, run_suite_resilient
+from repro.runner import run_suite_resilient
 
 
 class TestFingerprint:
@@ -79,7 +79,7 @@ class TestSuiteResume:
         with pytest.raises(QueueMismatch):
             run_suite_resilient(
                 ["eqntott"], scale=0.02, archs=("fallthrough",),
-                config=RunnerConfig(meld=True), fabric=queue(path, resume=True),
+                meld=True, fabric=queue(path, resume=True),
             )
 
     def test_restored_results_match_fresh_run(self, tmp_path):

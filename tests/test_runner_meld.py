@@ -14,7 +14,7 @@ class TestMeldInRunner:
     def test_meld_stage_runs_clean_with_lint(self):
         result = run_suite_resilient(
             ["eqntott"], scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(meld=True, lint=True),
+            meld=True, config=RunnerConfig(lint=True),
         )
         assert not result.partial
         assert result.executed == ["eqntott"]
@@ -26,7 +26,7 @@ class TestMeldInRunner:
         )
         melded = run_suite_resilient(
             ["eqntott"], scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(meld=True),
+            meld=True, config=RunnerConfig(),
         )
         plain_exp = plain.results[0]
         melded_exp = melded.results[0]
@@ -37,7 +37,7 @@ class TestMeldInRunner:
     def test_no_meldable_sites_is_a_no_op(self):
         result = run_suite_resilient(
             ["compress"], scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(meld=True, lint=True),
+            meld=True, config=RunnerConfig(lint=True),
         )
         assert not result.partial
 

@@ -15,7 +15,7 @@ from repro.runner import (
     RunnerConfig,
     run_suite_resilient,
 )
-from repro.runner.runner import UnitTask, execute_unit
+from repro.runner.runner import PipelineChecks, UnitTask, execute_unit
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0)
 ARCHS = ("fallthrough", "btfnt")
@@ -69,7 +69,8 @@ class TestJudgesReuseExperimentLayouts:
         )
         execute_unit(UnitTask(
             kind="experiment", benchmark="compress", scale=SCALE, window=WINDOW,
-            oracle=True, prove=True, profile_source=profile_source,
+            checks=PipelineChecks(oracle=True, prove=True),
+            profile_source=profile_source,
         ))
         assert simulated
         assert judged["oracle"] == Counter(simulated)

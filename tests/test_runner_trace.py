@@ -6,9 +6,9 @@ from repro.cli import main
 from repro.runner import FaultPlan, FaultSpec, RunnerConfig, run_suite_resilient
 from repro.runner.store import ArtifactStore
 from repro.sim.decisions import (
-    capture_decisions,
     encode_trace,
     is_trace_key,
+    load_or_capture,
     trace_fingerprint,
     trace_key,
 )
@@ -20,6 +20,11 @@ def _run(tmp_path=None, **kwargs):
     return run_suite_resilient(["eqntott"], scale=0.1, config=config)
 
 
+def _eqntott_key() -> str:
+    program = generate_benchmark("eqntott", 0.1)
+    return trace_key("eqntott", trace_fingerprint(program, "eqntott", 0.1, 0))
+
+
 class TestTraceCache:
     def test_cache_populated_and_reused(self, tmp_path):
         cache = tmp_path / "traces"
@@ -27,7 +32,7 @@ class TestTraceCache:
         assert not first.failures
         store = ArtifactStore(cache)
         keys = [k for k in store.keys() if is_trace_key(k)]
-        assert keys == [trace_key("eqntott", trace_fingerprint("eqntott", 0.1, 0))]
+        assert keys == [_eqntott_key()]
 
         second = _run(trace_cache=cache)
         assert not second.failures
@@ -54,7 +59,7 @@ class TestCorruptTraceFault:
         store = ArtifactStore(cache)
         assert any(store.quarantine_dir.iterdir())
         # And the cache was re-primed with a good entry afterwards.
-        key = trace_key("eqntott", trace_fingerprint("eqntott", 0.1, 0))
+        key = _eqntott_key()
         assert key in store
         store.verify(key)
 
@@ -83,9 +88,8 @@ class TestCliValidation:
     def test_doctor_store_flags_stale_trace(self, tmp_path, capsys):
         store = ArtifactStore(tmp_path)
         program = generate_benchmark("eqntott", 0.1)
-        trace = capture_decisions(program, seed=0, workload="eqntott", scale=0.1)
-        good_key = trace_key("eqntott", trace_fingerprint("eqntott", 0.1, 0))
-        store.put(good_key, encode_trace(trace))
+        trace, _hit = load_or_capture(store, program, workload="eqntott", scale=0.1)
+        good_key = trace.key
         stale = encode_trace(trace)
         stale["schema"] = 0
         store.put("trace/eqntott@0000000000000000", stale)
@@ -103,3 +107,38 @@ class TestCliValidation:
         # After repair only the good trace remains addressable.
         assert good_key in ArtifactStore(tmp_path).keys()
         assert "trace/eqntott@0000000000000000" not in ArtifactStore(tmp_path)
+
+
+class TestCacheKeyedByProgram:
+    """One cache serves a workload and its melded form, in either order.
+
+    Melding changes the program, so its trace must never be served for
+    the unmelded workload (nor the other way round): each table must be
+    byte-identical to a run without any cache.
+    """
+
+    ARGS = ["table3", "--benchmarks", "eqntott", "--scale", "0.1"]
+
+    def _table(self, tmp_path, name, *extra):
+        out = tmp_path / f"{name}.txt"
+        assert main([*self.ARGS, *extra, "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("first,second", [
+        (("--meld",), ()),
+        ((), ("--meld",)),
+    ], ids=["meld-then-plain", "plain-then-meld"])
+    def test_shared_cache_matches_cacheless_runs(self, tmp_path, first, second):
+        cache = str(tmp_path / "traces")
+        cached = [
+            self._table(tmp_path, "first", *first, "--trace-cache", cache),
+            self._table(tmp_path, "second", *second, "--trace-cache", cache),
+        ]
+        fresh = [
+            self._table(tmp_path, "fresh-first", *first),
+            self._table(tmp_path, "fresh-second", *second),
+        ]
+        assert cached == fresh
+        assert fresh[0] != fresh[1]  # melding really changes the table
+        keys = [k for k in ArtifactStore(cache).keys() if is_trace_key(k)]
+        assert len(keys) == 2  # one entry per captured program
